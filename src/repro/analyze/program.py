@@ -195,17 +195,13 @@ class ProgramUnderCheck:
                     operands.append(OperandUnderCheck(
                         shape=shape, sparse=sparse))
             kwargs = dict(node.call_kwargs)
-            clock = kwargs.get("clock_mhz")
-            options = kwargs.get("options")
-            if clock is None and options is not None:
-                clock = getattr(options, "clock_mhz", None)
             nodes.append(NodeUnderCheck(
                 name=node.name, kind=node.kind,
                 operation=node.operation, operands=tuple(operands),
                 k=kwargs.get("k"), m=kwargs.get("m"),
                 blades=int(kwargs.get("blades", 1)),
                 architecture=str(kwargs.get("architecture", "tree")),
-                clock_mhz=clock, fn=node.fn))
+                clock_mhz=kwargs.get("clock_mhz"), fn=node.fn))
         return cls(name=program.name, nodes=tuple(nodes))
 
     @classmethod

@@ -26,7 +26,6 @@ from repro.blas.multi_fpga import MultiFpgaMatrixMultiply, MultiFpgaRun
 from repro.blas.api import (
     BlasCall,
     BlasResult,
-    CallOptions,
     ExecutionPlan,
     PerfReport,
     dot,
@@ -72,7 +71,6 @@ __all__ = [
     "BlasCall",
     "BlasResult",
     "BlasProgram",
-    "CallOptions",
     "ExecutionPlan",
     "PerfReport",
     "ProgramPlan",

@@ -4,8 +4,7 @@ Each call simulates the corresponding FPGA design and returns a
 :class:`BlasResult` — the numerical value together with a
 :class:`PerfReport` (cycle count, wall-clock estimate at the design's
 achievable clock, sustained MFLOPS, memory bandwidth and area),
-mirroring the rows of the paper's Tables 3 and 4.  ``BlasResult``
-still unpacks like the historical ``(value, report)`` tuple.
+mirroring the rows of the paper's Tables 3 and 4.
 
 Both the executing calls and the non-executing ``plan_*`` predictors
 are thin wrappers over one :class:`BlasCall` descriptor, so geometry
@@ -28,10 +27,9 @@ via :func:`gemm_multi`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -82,33 +80,6 @@ DEFAULT_K = {"dot": 2, "gemv": 4, "gemm": 8, "spmxv": 4}
 
 
 @dataclass(frozen=True)
-class CallOptions:
-    """Cross-kernel execution options, bundled once.
-
-    Every executing wrapper (``dot``/``gemv``/``gemm``/``gemm_multi``/
-    ``spmxv``) used to thread ``clock_mhz``/``on_xd1``/``sim_mode``/…
-    through its own signature; :class:`BlasCall` consumes this bundle
-    instead, so adding the next shared option is one change here, not
-    six signature edits.  The wrappers keep their historical keyword
-    arguments and fold them into a ``CallOptions`` — or accept a
-    ready-made bundle via ``options=``.
-
-    ``fpgas_per_chassis`` declares the chassis width a gang is seated
-    on: when a gemm gang spans more blades than one chassis holds, the
-    plan and execute paths both charge the RapidArray boundary
-    crossings (:func:`repro.device.interconnect.
-    inter_chassis_transfer_cycles`).  ``None`` (the default) means
-    single-chassis seating — the historical cycle counts.
-    """
-
-    clock_mhz: Optional[float] = None
-    on_xd1: bool = False
-    sim_mode: str = "cycle"
-    strict: bool = False
-    fpgas_per_chassis: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class PerfReport:
     """Performance summary of one simulated BLAS call."""
 
@@ -150,34 +121,11 @@ class PerfReport:
 
 @dataclass(frozen=True)
 class BlasResult:
-    """Value + report of one BLAS call.
-
-    Replaces the historical ``(value, PerfReport)`` return tuple.
-    Sequence access (``value, report = result``, ``result[0]``) still
-    works but is deprecated — use ``result.value`` / ``result.report``.
-    Each deprecated call site warns once (Python's warning registry
-    deduplicates per source line under the default filter).
-    """
+    """Value + report of one BLAS call: ``result.value`` and
+    ``result.report``."""
 
     value: Any
     report: PerfReport
-
-    def __iter__(self) -> Iterator[Any]:
-        warnings.warn(
-            "unpacking BlasResult as a (value, report) tuple is "
-            "deprecated; use .value and .report",
-            DeprecationWarning, stacklevel=2)
-        return iter((self.value, self.report))
-
-    def __getitem__(self, index: int) -> Any:
-        warnings.warn(
-            "indexing BlasResult is deprecated; use .value and "
-            ".report",
-            DeprecationWarning, stacklevel=2)
-        return (self.value, self.report)[index]
-
-    def __len__(self) -> int:
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -243,15 +191,11 @@ def gemm_geometry(p: int, q: int, r: int, k: int,
     return m, m * math.ceil(size / m)
 
 
-#: Backwards-compatible alias for the pre-analyze internal name.
-_gemm_geometry = gemm_geometry
-
-
 def max_gemm_gang(p: int, q: int, r: int, k: int = 8,
                   m: Optional[int] = None) -> int:
     """Widest feasible gang for a gemm of this shape: one FPGA per
     B m-block-column, so at most ``padded/m`` blades can contribute."""
-    m, padded = _gemm_geometry(p, q, r, k, m)
+    m, padded = gemm_geometry(p, q, r, k, m)
     return padded // m
 
 
@@ -272,10 +216,6 @@ class BlasCall:
     ``fpgas_per_chassis`` set and ``blades`` exceeding it, the array
     spans chassis and both paths charge the same RapidArray
     boundary-crossing term, keeping plan == execute exact.
-
-    ``options`` accepts a :class:`CallOptions` bundle; it overrides
-    the corresponding individual fields and is consumed at
-    construction (the call stores the flattened fields).
 
     ``sim_mode`` selects the execution substrate: ``"cycle"``
     (default) steps the cycle-accurate designs; ``"fast"`` / ``"auto"``
@@ -298,17 +238,8 @@ class BlasCall:
     strict: bool = False
     sim_mode: str = "cycle"
     fpgas_per_chassis: Optional[int] = None
-    options: Optional[CallOptions] = None
 
     def __post_init__(self) -> None:
-        if self.options is not None:
-            opts = self.options
-            self.clock_mhz = opts.clock_mhz
-            self.on_xd1 = opts.on_xd1
-            self.sim_mode = opts.sim_mode
-            self.strict = opts.strict
-            self.fpgas_per_chassis = opts.fpgas_per_chassis
-            self.options = None
         if self.operation not in DEFAULT_K:
             raise ValueError(
                 f"unknown operation {self.operation!r}; "
@@ -470,7 +401,7 @@ class BlasCall:
             operation = f"gemv[{self.architecture}]"
         elif op == "gemm":
             p, q, r = dims
-            m, padded = _gemm_geometry(p, q, r, self.k, self.m)
+            m, padded = gemm_geometry(p, q, r, self.k, self.m)
             if self.blades > 1:
                 gang = self._gang_design(m, padded)
                 bm = padded // m
@@ -597,7 +528,7 @@ class BlasCall:
         A = np.asarray(self.operands[0], dtype=np.float64)
         B = np.asarray(self.operands[1], dtype=np.float64)
         size = max(p, q, r)
-        m, padded = _gemm_geometry(p, q, r, self.k, self.m)
+        m, padded = gemm_geometry(p, q, r, self.k, self.m)
         if (p, q) == (padded, padded) and r == padded:
             a_pad, b_pad = A, B
         else:
@@ -643,27 +574,12 @@ class BlasCall:
 # ----------------------------------------------------------------------
 # executing wrappers
 # ----------------------------------------------------------------------
-def _options(options: Optional[CallOptions],
-             clock_mhz: Optional[float], on_xd1: bool,
-             sim_mode: str, strict: bool = False,
-             fpgas_per_chassis: Optional[int] = None) -> CallOptions:
-    """Fold a wrapper's historical keyword arguments into one
-    :class:`CallOptions`; an explicit ``options=`` bundle wins."""
-    if options is not None:
-        return options
-    return CallOptions(clock_mhz=clock_mhz, on_xd1=on_xd1,
-                       sim_mode=sim_mode, strict=strict,
-                       fpgas_per_chassis=fpgas_per_chassis)
-
-
 def dot(u: np.ndarray, v: np.ndarray, k: int = 2,
         clock_mhz: Optional[float] = None,
-        on_xd1: bool = False, sim_mode: str = "cycle",
-        options: Optional[CallOptions] = None) -> BlasResult:
+        on_xd1: bool = False, sim_mode: str = "cycle") -> BlasResult:
     """Dot product on the tree architecture (Table 3: k=2)."""
-    return BlasCall("dot", operands=(u, v), k=k,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode)).execute()
+    return BlasCall("dot", operands=(u, v), k=k, clock_mhz=clock_mhz,
+                    on_xd1=on_xd1, sim_mode=sim_mode).execute()
 
 
 def gemv(A: np.ndarray, x: np.ndarray, k: int = 4,
@@ -671,8 +587,7 @@ def gemv(A: np.ndarray, x: np.ndarray, k: int = 4,
          clock_mhz: Optional[float] = None,
          on_xd1: bool = False,
          block: Optional[int] = None,
-         sim_mode: str = "cycle",
-         options: Optional[CallOptions] = None) -> BlasResult:
+         sim_mode: str = "cycle") -> BlasResult:
     """Matrix-vector multiply (Table 3/4: k=4, tree architecture).
 
     ``architecture`` selects "tree" (row-major A) or "column"
@@ -681,8 +596,8 @@ def gemv(A: np.ndarray, x: np.ndarray, k: int = 4,
     """
     return BlasCall("gemv", operands=(A, x), k=k,
                     architecture=architecture, block=block,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode)).execute()
+                    clock_mhz=clock_mhz, on_xd1=on_xd1,
+                    sim_mode=sim_mode).execute()
 
 
 def gemm(A: np.ndarray, B: np.ndarray, k: int = 8,
@@ -690,8 +605,7 @@ def gemm(A: np.ndarray, B: np.ndarray, k: int = 8,
          clock_mhz: Optional[float] = None,
          on_xd1: bool = False,
          strict: bool = False,
-         sim_mode: str = "cycle",
-         options: Optional[CallOptions] = None) -> BlasResult:
+         sim_mode: str = "cycle") -> BlasResult:
     """Dense matrix multiply on the linear PE array (Table 4: k=m=8).
 
     Accepts rectangular operands (the paper notes its designs apply to
@@ -702,8 +616,8 @@ def gemm(A: np.ndarray, B: np.ndarray, k: int = 8,
     paper's on-chip limit).
     """
     return BlasCall("gemm", operands=(A, B), k=k, m=m,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode, strict)).execute()
+                    clock_mhz=clock_mhz, on_xd1=on_xd1, strict=strict,
+                    sim_mode=sim_mode).execute()
 
 
 def gemm_multi(A: np.ndarray, B: np.ndarray, l: int, k: int = 8,
@@ -711,8 +625,7 @@ def gemm_multi(A: np.ndarray, B: np.ndarray, l: int, k: int = 8,
                clock_mhz: Optional[float] = None,
                on_xd1: bool = False,
                sim_mode: str = "cycle",
-               fpgas_per_chassis: Optional[int] = None,
-               options: Optional[CallOptions] = None) -> BlasResult:
+               fpgas_per_chassis: Optional[int] = None) -> BlasResult:
     """Dense matrix multiply on the ``l``-FPGA linear array
     (Section 5.2): the same padded geometry as :func:`gemm`, executed
     as one b×b pass striped over ``l`` blades at effective latency
@@ -720,15 +633,14 @@ def gemm_multi(A: np.ndarray, B: np.ndarray, l: int, k: int = 8,
     2·k·l flops/cycle peak.  With ``fpgas_per_chassis`` the array may
     span chassis; the RapidArray boundary crossings are charged."""
     return BlasCall("gemm", operands=(A, B), k=k, m=m, blades=l,
-                    options=_options(
-                        options, clock_mhz, on_xd1, sim_mode,
-                        fpgas_per_chassis=fpgas_per_chassis)).execute()
+                    clock_mhz=clock_mhz, on_xd1=on_xd1,
+                    sim_mode=sim_mode,
+                    fpgas_per_chassis=fpgas_per_chassis).execute()
 
 
 def spmxv(matrix, x: np.ndarray, k: int = 4,
           clock_mhz: Optional[float] = None,
-          on_xd1: bool = False, sim_mode: str = "cycle",
-          options: Optional[CallOptions] = None) -> BlasResult:
+          on_xd1: bool = False, sim_mode: str = "cycle") -> BlasResult:
     """Sparse matrix-vector multiply on the tree architecture.
 
     ``matrix`` is a :class:`repro.sparse.csr.CsrMatrix`; the design is
@@ -736,8 +648,8 @@ def spmxv(matrix, x: np.ndarray, k: int = 4,
     circuit), whose area matches the Level-2 tree design.
     """
     return BlasCall("spmxv", operands=(matrix, x), k=k,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode)).execute()
+                    clock_mhz=clock_mhz, on_xd1=on_xd1,
+                    sim_mode=sim_mode).execute()
 
 
 # ----------------------------------------------------------------------

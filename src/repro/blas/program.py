@@ -163,7 +163,7 @@ class BlasProgram:
         """A BLAS kernel node; ``operands`` may mix arrays and
         :class:`Ref` placeholders.  ``call_kwargs`` pass through to
         :class:`~repro.blas.api.BlasCall` (``k``, ``m``,
-        ``architecture``, ``options`` …)."""
+        ``architecture``, ``clock_mhz`` …)."""
         if operation not in api.DEFAULT_K:
             raise ProgramError(
                 f"unknown kernel operation {operation!r}; expected "
@@ -224,7 +224,7 @@ class BlasProgram:
               operands: Tuple[Any, ...],
               sim_mode: Optional[str]) -> api.BlasCall:
         kwargs = dict(node.call_kwargs)
-        if sim_mode is not None and "options" not in kwargs:
+        if sim_mode is not None:
             kwargs["sim_mode"] = sim_mode
         if len(operands) == 1:
             operands = (operands[0], None)

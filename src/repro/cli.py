@@ -815,9 +815,9 @@ def _add_workload_options(parser: argparse.ArgumentParser,
                           jobs_default: int = 200,
                           faults_spec: bool = True) -> None:
     """Workload/system flags shared by ``runtime``, ``trace`` and
-    ``faults`` (the latter registers ``--faults-spec`` itself so it can
-    keep the legacy ``--spec`` alias, and loads the plan explicitly —
-    it must not leak into the fault-free sizing dry run)."""
+    ``faults`` (the latter registers ``--faults-spec`` itself and
+    loads the plan explicitly — it must not leak into the fault-free
+    sizing dry run)."""
     parser.add_argument("--chassis", type=_positive_int, default=1)
     parser.add_argument("--blades", type=_positive_int, default=6)
     parser.add_argument("--jobs", type=int, default=jobs_default)
@@ -972,10 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="explicit fault-plan JSON (overrides the "
                            "storm flags); same flag name as "
                            "repro runtime/trace/serve")
-    # Back-compat alias from when the faults command had its own
-    # spelling; hidden from --help.
-    p_fl.add_argument("--spec", dest="faults_spec",
-                      help=argparse.SUPPRESS)
     p_fl.add_argument("--fault-seed", type=int, default=0,
                       help="storm seed (also drives retry jitter and "
                            "bit/word choices)")

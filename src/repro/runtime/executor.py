@@ -8,6 +8,23 @@ achievable clock rate — so a six-blade chassis genuinely overlaps six
 jobs even though the underlying simulators execute sequentially on the
 host.
 
+Placement pass
+--------------
+Every placement runs as one pass of members × blades.  A *batch* is
+one blade with followers: the placed job plus the same-shape gemm jobs
+waiting behind it.  A *gang* is one job on the ``l`` blades of the
+Section 5.2 linear array, of which a single blade is the ``l = 1``
+case.  Both follow the same sequence:
+
+1. **configure** — every blade loads the pass's bitstream unless it is
+   resident; the pass starts when the slowest blade is ready;
+2. **run** — the members run back to back, and stalls, crashes and
+   bit flips may strike any blade of the pass;
+3. **charge or abort** — a finished member is charged on every blade;
+   a crash on any blade aborts the pass: the victim goes down, the
+   other blades free, and every unfinished member retries (a gang at
+   half its width, degrading toward ``l = 1``).
+
 Cost model
 ----------
 * **Reconfiguration.** A blade holds the set of designs configured on
@@ -17,23 +34,18 @@ Cost model
   configuration load — :data:`RECONFIG_BITSTREAM_BYTES` over the
   blade's measured FPGA↔DRAM path — and evicts least-recently-used
   designs if the new one does not fit beside the residents.
-* **Batching.** Same-shape gemm jobs waiting in the queue are coalesced
-  into the placed job's pass: every follower is charged the compute
-  cycles of its standalone run minus the pass-fixed overhead (array
-  startup, drain and final C-block output), which the pass pays once.
-  Results stay bit-for-bit identical to standalone calls because each
-  job's numerics are still produced by its own ``repro.blas.api`` call.
+* **Batching.** Every follower is charged the compute cycles of its
+  standalone run minus the pass-fixed overhead (array startup, drain
+  and final C-block output), which the pass pays once.  Results stay
+  bit-for-bit identical to standalone calls because each job's
+  numerics are still produced by its own ``repro.blas.api`` call.
 * **Backpressure.** Arrivals beyond ``queue_capacity`` pending jobs are
   rejected (or raise :class:`QueueFullError` with ``strict_queue``).
-* **Gangs.** With ``max_gang > 1`` a large gemm plans onto the
-  Section 5.2 multi-FPGA linear array: ``l`` co-located blades are
-  acquired atomically (see :mod:`repro.runtime.scheduler`), *every*
-  member is charged its bitstream load, the pass starts when the
-  slowest member is configured and occupies all members for the
-  n³/(k·l)-model duration, and useful flops split evenly across the
-  members (remainder to the lead, which alone counts the completion).
-  A crash of any member aborts the whole pass and retries the job
-  with its width capped at half (degrading toward ``l=1``).
+* **Gangs.** With ``max_gang > 1`` a large gemm plans onto the linear
+  array: ``l`` co-located blades are acquired atomically (see
+  :mod:`repro.runtime.scheduler`), each is busy for the
+  n³/(k·l)-model duration, and useful flops split evenly across them
+  (remainder to the lead, which alone counts the completion).
 * **Multi-chassis gangs.** A width no single chassis can reach seats
   across chassis (Section 6.4's full 12-chassis/72-blade XD1): the
   plan and the executed report both include the RapidArray
@@ -109,7 +121,7 @@ from repro.device.system import (
     make_xd1_system,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.runtime.clock import VirtualClock
 from repro.runtime.job import BlasRequest, Job, JobState, RejectReason
@@ -582,29 +594,25 @@ class BlasRuntime:
     def _activate_idle_crashes(self) -> None:
         """Deliver crash events that struck idle blades.
 
-        Crashes inside a dispatched batch are consumed by the dispatch
+        Crashes inside a dispatched pass are consumed by the dispatch
         lookahead; anything still pending once virtual time passes it
         hit a blade with nothing running — it only costs downtime and
-        a health strike.
+        a health strike (possibly a quarantine).
         """
         for device in self.devices:
             for event in self._injector.take_crashes(device.name,
                                                      self._now):
-                self._apply_crash(device, event)
-
-    def _apply_crash(self, device: DeviceSlot,
-                     event: FaultEvent) -> None:
-        """Common crash bookkeeping: downtime window, health strike,
-        trace instant, possible quarantine."""
-        end = event.at + event.duration
-        device.health.add_downtime(event.at, end)
-        device.free_at = max(device.free_at, end)
-        if self.recorder.enabled:
-            self.recorder.instant(
-                "fault.injected", "fault", device.name, event.at,
-                {"kind": event.kind.value, "device": device.name,
-                 "duration": event.duration})
-        self._record_device_fault(device, event.at)
+                end = event.at + event.duration
+                device.health.add_downtime(event.at, end)
+                device.free_at = max(device.free_at, end)
+                if self.recorder.enabled:
+                    self.recorder.instant(
+                        "fault.injected", "fault", device.name,
+                        event.at,
+                        {"kind": event.kind.value,
+                         "device": device.name,
+                         "duration": event.duration})
+                self._record_device_fault(device, event.at)
 
     def _record_device_fault(self, device: DeviceSlot,
                              at: float) -> None:
@@ -646,29 +654,6 @@ class BlasRuntime:
                         {"job": job.job_id, "attempt": attempt,
                          "reason": reason, "backoff": backoff,
                          "retry_at": job.retry_at})
-
-    def _abort_batch(self, device: DeviceSlot, members: List[Job],
-                     crash: FaultEvent) -> None:
-        """A crash cut a dispatched batch short: retry every member
-        that has not completed and take the blade down."""
-        self._injector.consume(crash)
-        if self.recorder.enabled:
-            self.recorder.instant(
-                "fault.injected", "fault", device.name, crash.at,
-                {"kind": crash.kind.value, "device": device.name,
-                 "duration": crash.duration,
-                 "aborted_jobs": [m.job_id for m in members]})
-        for member in members:
-            self._schedule_retry(
-                member, crash.at,
-                f"blade crash on {device.name} at t={crash.at:.6f}s")
-        end = crash.at + crash.duration
-        device.health.add_downtime(crash.at, end)
-        device.free_at = end
-        self._record_device_fault(device, crash.at)
-        if self.recorder.enabled:
-            self.recorder.counter(f"{device.name}:busy", device.name,
-                                  crash.at, 0)
 
     def _try_degrade(self, job: Job,
                      alive: List[DeviceSlot]) -> bool:
@@ -755,91 +740,91 @@ class BlasRuntime:
         return batch
 
     def _dispatch(self, placement: Placement) -> None:
-        if (len(placement.devices) > 1
-                or placement.job.plan.blades_required > 1):
-            self._dispatch_gang(placement)
-            return
-        job, device = placement.job, placement.device
+        """Run one placement as a pass of members × blades (see the
+        module docstring's "Placement pass").
+
+        A gang-planned job stays a gang even when chassis fallback
+        seats it on one blade.  A gang placed at a width other than
+        the planned one is re-planned at the actual width first, so
+        plan-vs-actual drift stays exact."""
+        job, devices = placement.job, placement.devices
         rec = self.recorder
         injector = self._injector
+        gang = len(devices) > 1 or job.plan.blades_required > 1
+        width = len(devices)
+        lead = devices[0]
+        names = [d.name for d in devices]
         self._pending.remove(job)
-        batch = self._collect_batch(job)
+        if not gang:
+            members = self._collect_batch(job)
+        else:
+            members = [job]
+            if width != job.plan.blades_required:
+                job.plan = self._call(job.request, blades=width).plan()
+        plan = job.plan
+        chassis_span = len({d.chassis for d in devices})
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-
         start = self._now
         if placement.reason == "work-steal":
             self._work_steals += 1
             if rec.enabled:
-                rec.instant("work.stolen", "scheduler", device.name,
-                            start,
+                rec.instant("work.stolen", "scheduler", lead.name, start,
                             {"job": job.job_id,
                              "home_chassis": job.request.home_chassis,
-                             "stolen_by_chassis": device.chassis,
-                             "device": device.name})
-        clock = start
+                             "stolen_by_chassis": lead.chassis,
+                             "device": lead.name})
+        if width > 1:
+            self._gangs_formed += 1
+            if chassis_span > 1:
+                self._gangs_multichassis += 1
         if rec.enabled:
             self._sample_depth()
             rec.instant("scheduler.place", "scheduler", "scheduler",
                         start,
-                        {"job": job.job_id, "device": device.name,
+                        {"job": job.job_id, "device": lead.name,
                          "policy": self.policy.name,
                          "reason": placement.reason,
-                         "design": job.plan.design_key,
+                         "design": plan.design_key,
                          "batch_id": batch_id,
-                         "batch_size": len(batch)})
-            if len(batch) > 1:
+                         "batch_size": len(members),
+                         **({"gang": names} if gang else {})})
+            if len(members) > 1:
                 rec.instant("batch.formed", "batch", "scheduler", start,
                             {"batch_id": batch_id,
                              "lead": job.job_id,
-                             "members": [m.job_id for m in batch],
-                             "design": job.plan.design_key})
-        for member in batch:
-            member.device = device.name
+                             "members": [m.job_id for m in members],
+                             "design": plan.design_key})
+            if width > 1:
+                rec.instant("gang.formed", "gang", "scheduler", start,
+                            {"job": job.job_id, "blades": width,
+                             "members": names,
+                             "design": plan.design_key,
+                             "chassis": chassis_span,
+                             "inter_chassis_cycles":
+                                 plan.inter_chassis_cycles})
+        for member in members:
+            member.device = lead.name
             member.batch_id = batch_id
             member.transition(JobState.PLACED, start)
-        if (injector is not None
-                and not device.has_resident(job.plan.design_key)):
-            # A transient load failure only makes sense when a real
-            # bitstream load is about to happen; with the design
-            # already resident the event stays queued for the next one.
-            clock = self._faulty_reconfig_attempts(device, clock)
-        if device.configure(job.plan.design_key, job.plan.area.slices):
-            if rec.enabled:
-                for evicted in device.last_evicted:
-                    rec.instant("reconfig.evict", "reconfig",
-                                device.name, start,
-                                {"design": evicted,
-                                 "for": job.plan.design_key})
-                rec.instant("reconfig.load", "reconfig", device.name,
-                            start,
-                            {"design": job.plan.design_key,
-                             "bytes": RECONFIG_BITSTREAM_BYTES,
-                             "seconds": self.reconfig_seconds})
-                rec.span(f"reconfig:{job.plan.design_key}", "reconfig",
-                         device.name, clock,
-                         clock + self.reconfig_seconds,
-                         {"design": job.plan.design_key,
-                          "evicted": list(device.last_evicted)})
-            clock += self.reconfig_seconds
-            device.metrics.reconfigurations += 1
-            device.metrics.reconfig_seconds += self.reconfig_seconds
-        overhead = 0
-        if len(batch) > 1:
-            overhead = api.gemm_fixed_overhead_cycles(job.plan.k,
-                                                      job.plan.m)
-
+        if gang:
+            job.gang_devices = list(names)
+            job.gang_size = width
+        # The array cannot stream until its slowest blade is configured.
+        clock = max(self._configure(device, plan, start)
+                    for device in devices)
+        overhead = (api.gemm_fixed_overhead_cycles(plan.k, plan.m)
+                    if len(members) > 1 else 0)
         if rec.enabled:
-            rec.counter(f"{device.name}:busy", device.name, start, 1)
-        for i, member in enumerate(batch):
+            for device in devices:
+                rec.counter(f"{device.name}:busy", device.name, start, 1)
+        for i, member in enumerate(members):
             run_start = clock
-            if injector is not None:
-                crash = injector.peek_crash(device.name, start, run_start)
-                if crash is not None:
-                    # The blade died before this member (and the rest
-                    # of the batch) got to run.
-                    self._abort_batch(device, batch[i:], crash)
-                    break
+            # A blade that died before this member got to run aborts
+            # it and every member behind it.
+            if injector is not None and self._abort_on_crash(
+                    devices, members[i:], gang, start, run_start):
+                break
             member.transition(JobState.RUNNING, run_start)
             if rec.enabled:
                 wait_from = (member.retry_at if member.retries
@@ -850,288 +835,163 @@ class BlasRuntime:
                           "operation": member.request.operation,
                           "attempt": member.retries + 1})
             try:
-                outcome = self._execute(member.request)
+                outcome = self._execute(member.request, blades=width)
                 result, report = outcome.value, outcome.report
             except (ValueError, MemoryError, SimulationError) as exc:
                 member.fail(clock, f"{type(exc).__name__}: {exc}")
                 if rec.enabled:
-                    rec.instant("job.failed", "lifecycle", device.name,
+                    rec.instant("job.failed", "lifecycle", lead.name,
                                 clock, {"job": member.job_id,
                                         "error": member.error})
                 continue
-            cycles = report.total_cycles - (overhead if i else 0)
-            cycles = max(1, cycles)
+            cycles = max(1, report.total_cycles - (overhead if i else 0))
             seconds = cycles / (report.clock_mhz * 1e6)
             if injector is not None:
-                seconds = self._apply_stalls(device, member, run_start,
-                                             seconds)
-                end = run_start + seconds
-                crash = injector.peek_crash(device.name, start, end)
-                if crash is not None:
-                    # The blade died under this member mid-run; it and
-                    # every batch member behind it retry elsewhere.
-                    self._abort_batch(device, batch[i:], crash)
+                # A stall on any blade stretches the whole pass: a gang
+                # is a pipeline, so the slowest link sets the pace.
+                for device in devices:
+                    seconds = self._apply_stalls(device, member,
+                                                 run_start, seconds)
+                if self._abort_on_crash(devices, members[i:], gang,
+                                        start, run_start + seconds):
                     break
-                result = self._apply_corruption(device, member, result,
-                                                end)
-            if self.verify_results and self._verify_failed(
-                    device, member, result, run_start + seconds):
-                # The blade still spent the whole attempt producing the
-                # discarded result: charge its time before moving on.
-                clock = run_start + seconds
-                device.metrics.busy_seconds += seconds
-                continue
+                for device in devices:
+                    result = self._apply_corruption(
+                        device, member, result, run_start + seconds)
             clock = run_start + seconds
+            if self.verify_results and self._verify_failed(
+                    lead, member, result, clock):
+                # The blades still spent the whole attempt producing
+                # the discarded result: charge their time.
+                for device in devices:
+                    device.metrics.busy_seconds += seconds
+                continue
             member.charged_cycles = cycles
             member.charged_seconds = seconds
             member.result = result
             member.report = report
             member.transition(JobState.DONE, clock)
+            crossing = member.plan.inter_chassis_cycles
+            self._inter_chassis_cycles += crossing
             if rec.enabled:
                 member.run_span_id = rec.span(
                     f"job{member.job_id}:{member.request.operation}",
-                    "job", device.name, run_start, clock,
+                    "job", lead.name, run_start, clock,
                     {"job": member.job_id,
                      "operation": member.request.operation,
                      "batch_id": batch_id,
+                     **({"gang": width, "chassis": chassis_span}
+                        if gang else {}),
                      "predicted_cycles": member.plan.predicted_cycles,
                      "executed_cycles": report.total_cycles,
                      "charged_cycles": cycles,
+                     **({"inter_chassis_cycles": crossing}
+                        if gang else {}),
                      "flops": report.flops})
-            device.metrics.jobs_completed += 1
-            device.metrics.busy_seconds += seconds
-            device.metrics.flops += report.flops
-        else:
-            device.free_at = clock
-            if rec.enabled:
-                rec.counter(f"{device.name}:busy", device.name, clock, 0)
-        device.metrics.batches += 1
-
-    # -- gang dispatch ---------------------------------------------------
-    def _dispatch_gang(self, placement: Placement) -> None:
-        """Run one gang-planned gemm across ``placement.devices``.
-
-        Every member charges reconfiguration for the per-gang
-        bitstream; the pass starts when the slowest member finishes
-        configuring and charges the multi-FPGA timing model
-        (n³/(k·l) effective latency) as busy time on *every* member.
-        A crash of any member aborts the whole gang and retries it at
-        half the width.  The placed width may differ from the planned
-        one (chassis fallback): the job is re-planned at the actual
-        width first, so plan-vs-actual drift stays exact.
-        """
-        job = placement.job
-        devices = placement.devices
-        rec = self.recorder
-        injector = self._injector
-        self._pending.remove(job)
-        start = self._now
-        width = len(devices)
-        if width != job.plan.blades_required:
-            job.plan = self._call(job.request, blades=width).plan()
-        plan = job.plan
-        key = plan.design_key
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
-        lead = devices[0]
-        lead.metrics.batches += 1
-        if rec.enabled:
-            self._sample_depth()
-            rec.instant("scheduler.place", "scheduler", "scheduler",
-                        start,
-                        {"job": job.job_id, "device": lead.name,
-                         "policy": self.policy.name,
-                         "reason": placement.reason,
-                         "design": key,
-                         "batch_id": batch_id,
-                         "batch_size": 1,
-                         "gang": [d.name for d in devices]})
-        job.device = lead.name
-        job.gang_devices = [d.name for d in devices]
-        job.gang_size = width
-        job.batch_id = batch_id
-        job.transition(JobState.PLACED, start)
-        chassis_span = len({d.chassis for d in devices})
-        if width > 1:
-            self._gangs_formed += 1
-            if chassis_span > 1:
-                self._gangs_multichassis += 1
-            if rec.enabled:
-                rec.instant("gang.formed", "gang", "scheduler", start,
-                            {"job": job.job_id, "blades": width,
-                             "members": [d.name for d in devices],
-                             "design": key,
-                             "chassis": chassis_span,
-                             "inter_chassis_cycles":
-                                 plan.inter_chassis_cycles})
-        # Configure every member; the array cannot stream until its
-        # slowest member holds the bitstream.
-        run_start = start
-        for device in devices:
-            member_clock = start
-            if injector is not None and not device.has_resident(key):
-                member_clock = self._faulty_reconfig_attempts(
-                    device, member_clock)
-            if device.configure(key, plan.area.slices):
-                if rec.enabled:
-                    for evicted in device.last_evicted:
-                        rec.instant("reconfig.evict", "reconfig",
-                                    device.name, start,
-                                    {"design": evicted, "for": key})
-                    rec.instant("reconfig.load", "reconfig",
-                                device.name, start,
-                                {"design": key,
-                                 "bytes": RECONFIG_BITSTREAM_BYTES,
-                                 "seconds": self.reconfig_seconds})
-                    rec.span(f"reconfig:{key}", "reconfig",
-                             device.name, member_clock,
-                             member_clock + self.reconfig_seconds,
-                             {"design": key,
-                              "evicted": list(device.last_evicted)})
-                member_clock += self.reconfig_seconds
-                device.metrics.reconfigurations += 1
-                device.metrics.reconfig_seconds += self.reconfig_seconds
-            run_start = max(run_start, member_clock)
-        if rec.enabled:
-            for device in devices:
-                rec.counter(f"{device.name}:busy", device.name,
-                            start, 1)
-        if injector is not None:
-            crash, victim = self._earliest_gang_crash(devices, start,
-                                                      run_start)
-            if crash is not None:
-                # A member died while the gang was still configuring.
-                self._abort_gang(job, devices, victim, crash)
-                return
-        job.transition(JobState.RUNNING, run_start)
-        if rec.enabled:
-            wait_from = (job.retry_at if job.retries
-                         else job.submitted_at)
-            rec.span(f"job{job.job_id}:wait", "queue", "queue",
-                     wait_from, run_start,
-                     {"job": job.job_id,
-                      "operation": job.request.operation,
-                      "attempt": job.retries + 1})
-        try:
-            outcome = self._execute(job.request, blades=width)
-            result, report = outcome.value, outcome.report
-        except (ValueError, MemoryError, SimulationError) as exc:
-            job.fail(run_start, f"{type(exc).__name__}: {exc}")
-            if rec.enabled:
-                rec.instant("job.failed", "lifecycle", lead.name,
-                            run_start,
-                            {"job": job.job_id, "error": job.error})
-            for device in devices:
-                device.free_at = run_start
-                if rec.enabled:
-                    rec.counter(f"{device.name}:busy", device.name,
-                                run_start, 0)
-            return
-        cycles = report.total_cycles
-        seconds = cycles / (report.clock_mhz * 1e6)
-        if injector is not None:
-            # A stall on any member stretches the whole pass: the
-            # array is a pipeline, so the slowest link sets the pace.
-            for device in devices:
-                seconds = self._apply_stalls(device, job, run_start,
-                                             seconds)
-            crash, victim = self._earliest_gang_crash(
-                devices, start, run_start + seconds)
-            if crash is not None:
-                self._abort_gang(job, devices, victim, crash)
-                return
-            end = run_start + seconds
-            for device in devices:
-                result = self._apply_corruption(device, job, result,
-                                                end)
-        end = run_start + seconds
-        if self.verify_results and self._verify_failed(lead, job,
-                                                       result, end):
-            # Every member spent the whole attempt producing the
-            # discarded result: charge the gang's time before retrying.
+                if gang:
+                    for index, device in enumerate(devices):
+                        rec.span(f"job{member.job_id}:gang[{index}]",
+                                 "gang", device.name, run_start, clock,
+                                 {"job": member.job_id, "member": index,
+                                  "of": width, "device": device.name},
+                                 parent_id=member.run_span_id)
+            # The member completes once (on the lead) and its flops
+            # split across the blades that earned them.
+            flops_share = report.flops // width
             for device in devices:
                 device.metrics.busy_seconds += seconds
-                device.free_at = end
+                device.metrics.flops += flops_share
+                if width > 1:
+                    device.metrics.gang_jobs += 1
+            lead.metrics.flops += report.flops - flops_share * width
+            lead.metrics.jobs_completed += 1
+        else:
+            for device in devices:
+                device.free_at = clock
                 if rec.enabled:
                     rec.counter(f"{device.name}:busy", device.name,
-                                end, 0)
-            return
-        job.charged_cycles = cycles
-        job.charged_seconds = seconds
-        job.result = result
-        job.report = report
-        job.transition(JobState.DONE, end)
-        self._inter_chassis_cycles += plan.inter_chassis_cycles
-        if rec.enabled:
-            job.run_span_id = rec.span(
-                f"job{job.job_id}:{job.request.operation}",
-                "job", lead.name, run_start, end,
-                {"job": job.job_id,
-                 "operation": job.request.operation,
-                 "batch_id": batch_id,
-                 "gang": width,
-                 "chassis": chassis_span,
-                 "predicted_cycles": plan.predicted_cycles,
-                 "executed_cycles": report.total_cycles,
-                 "charged_cycles": cycles,
-                 "inter_chassis_cycles": plan.inter_chassis_cycles,
-                 "flops": report.flops})
-            for member_index, device in enumerate(devices):
-                rec.span(f"job{job.job_id}:gang[{member_index}]",
-                         "gang", device.name, run_start, end,
-                         {"job": job.job_id,
-                          "member": member_index,
-                          "of": width,
-                          "device": device.name},
-                         parent_id=job.run_span_id)
-        # Completion and flops stay consistent with the aggregate
-        # invariants: the job completes once (on the lead) and its
-        # flops split across the members that earned them.
-        flops_share = report.flops // width
-        for member_index, device in enumerate(devices):
-            device.metrics.busy_seconds += seconds
-            device.free_at = end
-            device.metrics.flops += flops_share
-            if member_index == 0:
-                device.metrics.flops += report.flops - flops_share * width
-            if width > 1:
-                device.metrics.gang_jobs += 1
+                                clock, 0)
+        lead.metrics.batches += 1
+
+    def _configure(self, device: DeviceSlot, plan: api.ExecutionPlan,
+                   start: float) -> float:
+        """Make ``plan``'s bitstream resident on ``device`` and return
+        when the blade is ready.  Each transient load failure due on
+        the blade first costs a full load time."""
+        rec = self.recorder
+        key = plan.design_key
+        clock = start
+        # A load failure only strikes a real bitstream load: with the
+        # design already resident the event stays queued for the next.
+        while self._injector is not None and not device.has_resident(key):
+            event = self._injector.take_reconfig_failure(device.name,
+                                                         clock)
+            if event is None:
+                break
             if rec.enabled:
-                rec.counter(f"{device.name}:busy", device.name, end, 0)
-        lead.metrics.jobs_completed += 1
+                rec.instant(
+                    "fault.injected", "fault", device.name, clock,
+                    {"kind": event.kind.value, "device": device.name,
+                     "seconds_lost": self.reconfig_seconds})
+                rec.span("reconfig:aborted", "fault", device.name,
+                         clock, clock + self.reconfig_seconds,
+                         {"device": device.name})
+            clock += self.reconfig_seconds
+            device.metrics.reconfig_seconds += self.reconfig_seconds
+            self._record_device_fault(device, event.at)
+        if device.configure(key, plan.area.slices):
+            if rec.enabled:
+                for evicted in device.last_evicted:
+                    rec.instant("reconfig.evict", "reconfig",
+                                device.name, start,
+                                {"design": evicted, "for": key})
+                rec.instant("reconfig.load", "reconfig", device.name,
+                            start,
+                            {"design": key,
+                             "bytes": RECONFIG_BITSTREAM_BYTES,
+                             "seconds": self.reconfig_seconds})
+                rec.span(f"reconfig:{key}", "reconfig", device.name,
+                         clock, clock + self.reconfig_seconds,
+                         {"design": key,
+                          "evicted": list(device.last_evicted)})
+            clock += self.reconfig_seconds
+            device.metrics.reconfigurations += 1
+            device.metrics.reconfig_seconds += self.reconfig_seconds
+        return clock
 
-    def _earliest_gang_crash(self, devices: Tuple[DeviceSlot, ...],
-                             after: float, before: float):
-        """First crash due on any gang member strictly inside
-        ``(after, before)`` — ties break on member order, so replays
-        are deterministic."""
-        best = None
-        victim = None
+    def _abort_on_crash(self, devices: Tuple[DeviceSlot, ...],
+                        unfinished: List[Job], gang: bool,
+                        after: float, before: float) -> bool:
+        """Abort the pass if a blade crashes strictly inside ``(after,
+        before)``; True when it did.
+
+        The earliest crash wins (ties break on blade order, so replays
+        are deterministic).  The victim takes the downtime and health
+        strike, the other blades free at the crash, and every
+        unfinished member retries — a gang at half its width,
+        degrading toward ``l=1`` rather than re-forming the doomed
+        gang."""
+        crash = victim = None
         for device in devices:
-            crash = self._injector.peek_crash(device.name, after,
-                                              before)
-            if crash is not None and (best is None
-                                      or crash.at < best.at):
-                best, victim = crash, device
-        return best, victim
-
-    def _abort_gang(self, job: Job, devices: Tuple[DeviceSlot, ...],
-                    victim: DeviceSlot, crash: FaultEvent) -> None:
-        """A member crash kills the whole pass: the victim takes the
-        downtime and health strike, the survivors free immediately,
-        and the job retries at half the gang width (degrading toward
-        ``l=1`` rather than re-forming the doomed gang)."""
+            event = self._injector.peek_crash(device.name, after, before)
+            if event is not None and (crash is None
+                                      or event.at < crash.at):
+                crash, victim = event, device
+        if crash is None:
+            return False
         self._injector.consume(crash)
         rec = self.recorder
+        width = len(devices)
         if rec.enabled:
             rec.instant(
                 "fault.injected", "fault", victim.name, crash.at,
                 {"kind": crash.kind.value, "device": victim.name,
                  "duration": crash.duration,
-                 "aborted_jobs": [job.job_id],
-                 "gang": [d.name for d in devices]})
-        width = len(devices)
+                 "aborted_jobs": [m.job_id for m in unfinished],
+                 **({"gang": [d.name for d in devices]} if gang
+                    else {})})
         if width > 1:
+            job = unfinished[0]
             job.gang_limit = max(1, width // 2)
             self._gangs_degraded += 1
             try:
@@ -1144,9 +1004,11 @@ class BlasRuntime:
                     {"job": job.job_id, "from_blades": width,
                      "to_blades": job.plan.blades_required,
                      "crashed": victim.name})
-        self._schedule_retry(
-            job, crash.at,
-            f"gang member crash on {victim.name} at t={crash.at:.6f}s")
+        what = "gang member crash" if gang else "blade crash"
+        for member in unfinished:
+            self._schedule_retry(
+                member, crash.at,
+                f"{what} on {victim.name} at t={crash.at:.6f}s")
         end = crash.at + crash.duration
         victim.health.add_downtime(crash.at, end)
         victim.free_at = end
@@ -1157,29 +1019,7 @@ class BlasRuntime:
             if rec.enabled:
                 rec.counter(f"{device.name}:busy", device.name,
                             crash.at, 0)
-
-    def _faulty_reconfig_attempts(self, device: DeviceSlot,
-                                  clock: float) -> float:
-        """Charge transient bitstream-load failures due on this blade:
-        each aborted attempt costs a full load time, then the real
-        configuration proceeds."""
-        rec = self.recorder
-        while True:
-            event = self._injector.take_reconfig_failure(device.name,
-                                                         clock)
-            if event is None:
-                return clock
-            if rec.enabled:
-                rec.instant(
-                    "fault.injected", "fault", device.name, clock,
-                    {"kind": event.kind.value, "device": device.name,
-                     "seconds_lost": self.reconfig_seconds})
-                rec.span("reconfig:aborted", "fault", device.name,
-                         clock, clock + self.reconfig_seconds,
-                         {"device": device.name})
-            clock += self.reconfig_seconds
-            device.metrics.reconfig_seconds += self.reconfig_seconds
-            self._record_device_fault(device, event.at)
+        return True
 
     def _apply_stalls(self, device: DeviceSlot, member: Job,
                       run_start: float, seconds: float) -> float:

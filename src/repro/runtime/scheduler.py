@@ -83,15 +83,6 @@ class Placement:
     devices: Tuple["DeviceSlot", ...]  # noqa: F821 — state in executor
     reason: str = "first-feasible"
 
-    @property
-    def device(self) -> "DeviceSlot":  # noqa: F821
-        """The (lead) blade — single-device call sites read this."""
-        return self.devices[0]
-
-    @property
-    def gang_size(self) -> int:
-        return len(self.devices)
-
 
 def plan_gang_width(plan: object) -> int:
     """Blades a plan wants (1 for every single-device plan).

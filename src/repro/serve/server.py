@@ -19,15 +19,16 @@ service directly.
 Epoch model
 -----------
 Submissions carry *virtual* arrival times and accumulate until a
-``drain``.  Each drain is one epoch: admitted calls are coalesced,
+``drain``.  Each drain is one epoch: admitted calls are coalesced and
+submitted to a fresh runtime, which plans each call once; they are
 ranked by weighted deficit round robin (cost = each call's planned
-virtual seconds — the ``plan_*`` predictors make cost known before
-execution), mapped onto the executor's ``priority`` field and replayed
-on a fresh runtime whose clock is either a
-:class:`~repro.runtime.clock.VirtualClock` (instant, byte-identical)
-or a :class:`~repro.runtime.clock.HybridClock` (virtual seconds pace
-wall sleeps — live-service mode).  Operands are synthesized from each
-call's ``seed``, so results and digests replay bit-for-bit.
+virtual seconds, known before execution), the rank is mapped onto the
+executor's ``priority`` field, and the runtime runs with a clock that
+is either a :class:`~repro.runtime.clock.VirtualClock` (instant,
+byte-identical) or a :class:`~repro.runtime.clock.HybridClock`
+(virtual seconds pace wall sleeps — live-service mode).  Operands are
+synthesized from each call's ``seed``, so results and digests replay
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro.serve import protocol
 from repro.serve.coalescer import CoalesceStats, coalesce
 from repro.serve.tenant import (AdmissionController, TenantQuota,
                                 weighted_deficit_order)
-from repro.sim.engine import SimulationError
 from repro.sim.fast import resolve_sim_mode
 from repro.workloads import poisson_2d
 
@@ -408,24 +408,20 @@ class BlasService:
             sim_mode=self.config.sim_mode,
             clock=make_clock(self.config.clock_mode,
                              self.config.time_scale))
-        costs = []
-        for call, request in zip(calls, requests):
-            try:
-                seconds = runtime._plan(request).predicted_seconds
-            except (ValueError, MemoryError, SimulationError):
-                seconds = 0.0  # submit() will fail the job properly
-            costs.append((call.tenant, seconds))
+        epoch_start = min(release)
+        jobs = [runtime.submit(request, at=at - epoch_start)
+                for request, at in zip(requests, release)]
+        # Submission plans each job once; a job whose planning failed
+        # costs nothing.  The scheduler reads priorities only inside
+        # run(), so ranking after submission changes no order.
+        costs = [(call.tenant, 0.0 if job.plan is None
+                  else job.plan.predicted_seconds)
+                 for call, job in zip(calls, jobs)]
         order = weighted_deficit_order(costs, self.admission.weights)
         # rank 0 serves first; the executor orders by priority
         # descending, so rank maps to priority = -rank.
-        rank_of = {entry_index: rank
-                   for rank, entry_index in enumerate(order)}
-        epoch_start = min(release)
-        jobs: List[Job] = []
-        for index, (call, request) in enumerate(zip(calls, requests)):
-            request.priority = -rank_of[index]
-            jobs.append(runtime.submit(
-                request, at=release[index] - epoch_start))
+        for rank, index in enumerate(order):
+            requests[index].priority = -rank
         metrics = runtime.run()
         self._makespan_total += metrics.makespan_seconds
         self._jobs_completed += metrics.jobs_completed

@@ -45,14 +45,6 @@ class Component:
     def commit(self, cycle: int) -> None:
         """Make staged state current.  Default: no-op."""
 
-    def quiescent(self) -> bool:
-        """True when stepping this component with no new input would
-        change nothing — the fast mode's precondition for skipping
-        cycles (:meth:`Simulator.fast_forward`).  Stateful components
-        (FIFOs, pipelines) override this; the default claims
-        quiescence, correct for purely combinational logic."""
-        return True
-
 
 class Simulator:
     """Single-clock-domain cycle simulator.
@@ -60,46 +52,21 @@ class Simulator:
     Components and staged signals are registered once; :meth:`step`
     advances the clock by one cycle, :meth:`run` advances until a
     predicate is satisfied or a watchdog expires.
-
-    ``mode`` selects ``"cycle"`` (default: every cycle is stepped) or
-    ``"fast"``, which additionally permits :meth:`fast_forward` —
-    advancing the clock over a region the design has proven quiescent
-    (every registered probe true) without evaluating anything.  Both
-    modes step identically otherwise, and both fail identically on
-    malformed designs (watchdog, FIFO overflow, double issue): the
-    fast mode only ever skips cycles that provably do nothing.
     """
 
-    #: Valid engine modes.
-    MODES = ("cycle", "fast")
-
-    def __init__(self, mode: str = "cycle") -> None:
-        if mode not in self.MODES:
-            raise ValueError(
-                f"unknown simulator mode {mode!r}; expected one of "
-                f"{self.MODES}")
-        self.mode = mode
+    def __init__(self) -> None:
         self.cycle: int = 0
         self._components: List[Component] = []
         self._commitables: List[Callable[[], None]] = []
         self._monitors: List[Callable[[int], None]] = []
-        self._quiescence_probes: List[Callable[[], bool]] = []
 
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
     def add(self, component: Component) -> Component:
-        """Register a component; returns it for chaining.  The
-        component's :meth:`Component.quiescent` automatically joins the
-        fast mode's quiescence probes."""
+        """Register a component; returns it for chaining."""
         self._components.append(component)
-        self._quiescence_probes.append(component.quiescent)
         return component
-
-    def register_quiescence(self, probe: Callable[[], bool]) -> None:
-        """Register an extra quiescence probe (signals register their
-        pending-staged-value checks here)."""
-        self._quiescence_probes.append(probe)
 
     def add_all(self, components: Iterable[Component]) -> None:
         for component in components:
@@ -152,41 +119,3 @@ class Simulator:
             f"watchdog expired after {max_cycles} cycles at cycle "
             f"{self.cycle}; design failed to reach completion condition"
         )
-
-    # ------------------------------------------------------------------
-    # fast mode
-    # ------------------------------------------------------------------
-    def quiescent(self) -> bool:
-        """True when every registered probe reports that stepping would
-        change nothing.  A design with no registered state is *not*
-        quiescent — there is no evidence to skip on."""
-        if not self._quiescence_probes:
-            return False
-        return all(probe() for probe in self._quiescence_probes)
-
-    def fast_forward(self, cycles: int) -> int:
-        """Advance the clock ``cycles`` without evaluating anything.
-
-        Only legal in ``fast`` mode and only while :meth:`quiescent` —
-        the skipped region is then provably identical to stepping.
-        Monitors still observe every skipped cycle (they may be
-        counting occupancy), so skipping is O(monitors); with none
-        registered it is O(1).  Returns the cycles skipped.
-        """
-        if self.mode != "fast":
-            raise SimulationError(
-                "fast_forward requires Simulator(mode='fast')")
-        if cycles < 0:
-            raise ValueError("cannot fast-forward backwards")
-        if not self.quiescent():
-            raise SimulationError(
-                "fast_forward while the design is not quiescent: "
-                "staged state would be lost"
-            )
-        start = self.cycle
-        if self._monitors:
-            for offset in range(cycles):
-                for monitor in self._monitors:
-                    monitor(start + offset)
-        self.cycle = start + cycles
-        return cycles

@@ -30,11 +30,6 @@ class Wire(Generic[T]):
         self._value: T = init
         self._next: Any = _UNSET
         sim.register_commit(self._commit)
-        sim.register_quiescence(self.quiescent)
-
-    def quiescent(self) -> bool:
-        """No staged value pending: committing would change nothing."""
-        return self._next is _UNSET
 
     @property
     def value(self) -> T:
@@ -80,12 +75,6 @@ class BoundedFifo(Generic[T]):
         self.max_occupancy = 0
         self.total_pushes = 0
         sim.register_commit(self._commit)
-        sim.register_quiescence(self.quiescent)
-
-    def quiescent(self) -> bool:
-        """No staged writes: committed items sit still across cycles,
-        so skipping is safe even when the FIFO is non-empty."""
-        return not self._staged
 
     def __len__(self) -> int:
         return len(self._items)
@@ -147,7 +136,6 @@ class Pipeline(Generic[T]):
         self.busy_cycles = 0
         self.total_cycles = 0
         sim.register_commit(self._commit)
-        sim.register_quiescence(self.quiescent)
 
     @property
     def output(self) -> Optional[T]:
@@ -185,11 +173,6 @@ class Pipeline(Generic[T]):
 
     def drained(self) -> bool:
         return self.occupancy == 0 and self._staged is None
-
-    def quiescent(self) -> bool:
-        """Drained *and* presenting a bubble — a step would shift
-        nothing and change no observable output."""
-        return self.drained() and self._output is None
 
     @property
     def utilization(self) -> float:

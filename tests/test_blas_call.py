@@ -6,10 +6,11 @@ shapes, ``BlasCall(...).plan()`` and ``BlasCall(...).execute()`` must
 agree on flops, area and design geometry, with gemm predictions exact
 (both timing models are closed-form) and streaming predictions within
 the calibrated few percent.  Also covered: the :class:`BlasResult`
-tuple-compatibility shim, the deduplicated ``design_key`` rule, and
-the multi-FPGA planning/execution pair.
+named fields, the keyword call options, the deduplicated
+``design_key`` rule, and the multi-FPGA planning/execution pair.
 """
 
+import inspect
 import warnings
 
 import numpy as np
@@ -18,11 +19,10 @@ import pytest
 from repro.blas.api import (
     BlasCall,
     BlasResult,
-    CallOptions,
-    PerfReport,
     dot,
     gemm,
     gemm_multi,
+    gemv,
     max_gemm_gang,
     plan_gemm,
     plan_gemm_multi,
@@ -119,25 +119,6 @@ class TestBlasCallValidation:
 
 
 class TestBlasResult:
-    def _result(self):
-        report = PerfReport("op", 8, 2, 1000, 100.0, 16, 1, 0.0, 0.0,
-                            1.0)
-        return BlasResult(value=42.0, report=report)
-
-    def test_tuple_unpack_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="unpacking"):
-            value, report = self._result()
-        assert value == 42.0
-        assert isinstance(report, PerfReport)
-
-    def test_indexing_still_works_but_warns(self):
-        result = self._result()
-        with pytest.warns(DeprecationWarning, match="indexing"):
-            assert result[0] == result.value
-        with pytest.warns(DeprecationWarning, match="indexing"):
-            assert result[1] is result.report
-        assert len(result) == 2
-
     def test_named_access_does_not_warn(self, rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -146,26 +127,6 @@ class TestBlasResult:
             assert isinstance(result, BlasResult)
             assert result.report.operation == "gemm"
             assert result.value.shape == (16, 16)
-
-    def test_warns_once_per_call_site_pattern(self):
-        # Python's default warning registry dedups on (message,
-        # category, module, lineno): a loop over one deprecated call
-        # site surfaces exactly one warning, so migrating a large
-        # caller is not drowned in repeats.
-        result = self._result()
-
-        def unpack_site():
-            value, _ = result  # single deprecated source line
-            return value
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default", DeprecationWarning)
-            for _ in range(5):
-                unpack_site()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
 
 
 class TestDesignKey:
@@ -205,35 +166,39 @@ class TestMultiFpgaGemm:
 
 
 class TestCallOptions:
-    """One shared options bundle replaces per-kernel kwarg plumbing."""
+    """Call options have one spelling: wrapper keyword arguments,
+    passed straight through to the BlasCall fields of the same
+    names."""
 
-    def test_bundle_equivalent_to_legacy_kwargs(self, rng):
+    OPTIONS = ("clock_mhz", "on_xd1", "sim_mode", "strict",
+               "fpgas_per_chassis")
+
+    def test_keywords_match_blas_call_fields(self, rng):
         u, v = rng.standard_normal(128), rng.standard_normal(128)
-        legacy = dot(u, v, clock_mhz=85.0, on_xd1=False).report
-        bundled = dot(u, v,
-                      options=CallOptions(clock_mhz=85.0)).report
-        assert legacy == bundled
-
-    def test_explicit_bundle_wins_over_kwargs(self, rng):
-        u, v = rng.standard_normal(64), rng.standard_normal(64)
-        report = dot(u, v, clock_mhz=170.0,
-                     options=CallOptions(clock_mhz=85.0)).report
-        assert report.clock_mhz == 85.0
+        direct = BlasCall("dot", operands=(u, v), k=2, clock_mhz=85.0,
+                          on_xd1=True, sim_mode="fast").execute()
+        wrapped = dot(u, v, clock_mhz=85.0, on_xd1=True,
+                      sim_mode="fast")
+        assert wrapped.report == direct.report
+        assert wrapped.value == direct.value
 
     def test_same_bundle_reused_across_kernels(self, rng):
-        options = CallOptions(on_xd1=True, sim_mode="fast")
+        options = {"on_xd1": True, "sim_mode": "fast"}
         A = rng.standard_normal((32, 32))
         x = rng.standard_normal(32)
-        from repro.blas.api import gemv
-        for outcome in (dot(x, x, options=options),
-                        gemv(A, x, options=options),
-                        gemm(A, A, k=4, m=16, options=options)):
+        for outcome in (dot(x, x, **options),
+                        gemv(A, x, **options),
+                        gemm(A, A, k=4, m=16, **options)):
             assert outcome.report.clock_mhz < 170.0  # XD1 derate
 
     def test_defaults_match_blas_call_defaults(self):
-        assert CallOptions() == CallOptions(
-            clock_mhz=None, on_xd1=False, sim_mode="cycle",
-            strict=False, fpgas_per_chassis=None)
+        fields = BlasCall.__dataclass_fields__
+        for wrapper in (dot, gemv, gemm, gemm_multi, spmxv):
+            params = inspect.signature(wrapper).parameters
+            for name in self.OPTIONS:
+                if name in params:
+                    assert params[name].default == \
+                        fields[name].default, (wrapper.__name__, name)
 
     def test_fpgas_per_chassis_charges_crossings(self, rng):
         A = rng.standard_normal((256, 256))

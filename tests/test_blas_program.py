@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.blas.api import CallOptions, plan_dot, plan_gemv
+from repro.blas.api import dot, plan_dot, plan_gemv
 from repro.blas.program import (
     BlasProgram,
     DRAM_EDGE_WORDS_PER_CYCLE,
@@ -20,6 +20,7 @@ from repro.blas.program import (
     Ref,
     edge_cycles,
 )
+from repro.device.area import AreaModel
 from repro.device.interconnect import INTRA_CHASSIS_WORDS_PER_CYCLE
 from repro.workloads import poisson_2d
 
@@ -222,6 +223,11 @@ class TestExecution:
         program.add_kernel("d", "dot",
                            (Ref("u", streamed=False),
                             Ref("u", streamed=False)),
-                           k=2, options=CallOptions(clock_mhz=85.0))
-        run = program.execute()
-        assert run.node_reports["d"].clock_mhz == 85.0
+                           k=2, clock_mhz=85.0, on_xd1=True)
+        run = program.execute(sim_mode="fast")
+        report = run.node_reports["d"]
+        assert report.clock_mhz == 85.0
+        assert report.area_slices == AreaModel().dot_product_design(
+            2, on_xd1=True).slices
+        assert run.value == dot(u, u, k=2, clock_mhz=85.0, on_xd1=True,
+                                sim_mode="fast").value

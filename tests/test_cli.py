@@ -241,22 +241,6 @@ class TestFaultsCommand:
             ["faults", "--faults-spec", str(spec)])
         assert args.faults_spec == str(spec)
 
-    def test_spec_remains_a_hidden_alias(self, tmp_path):
-        # Pre-unification scripts used 'repro faults --spec PATH'; the
-        # alias maps onto the same destination as --faults-spec.
-        spec = tmp_path / "faults.json"
-        spec.write_text('{"events": []}')
-        args = build_parser().parse_args(
-            ["faults", "--spec", str(spec)])
-        assert args.faults_spec == str(spec)
-
-    def test_spec_alias_is_hidden_from_help(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["faults", "--help"])
-        out = capsys.readouterr().out
-        assert "--faults-spec" in out
-        assert "--spec " not in out and "--spec=" not in out
-
     def test_storm_replay(self, capsys):
         rc = main(["faults", "--jobs", "20", "--blades", "4",
                    "--arrival-rate", "3000", "--fault-seed", "11"])
@@ -288,7 +272,7 @@ class TestFaultsCommand:
              "events": [{"kind": "mem_stall", "at": 0.0001,
                          "multiplier": 2.0}]}))
         rc = main(["faults", "--jobs", "6", "--blades", "2",
-                   "--spec", str(spec), "--json"])
+                   "--faults-spec", str(spec), "--json"])
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert rc == 0

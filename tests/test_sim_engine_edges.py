@@ -1,10 +1,7 @@
-"""Engine edge paths: watchdog, overflow, double issue, quiescence.
+"""Engine edge paths: watchdog, overflow, double issue.
 
-Fast mode's promise is *identical failure*, not just identical
-success: a malformed design must raise the same error with the same
-message whether the engine steps every cycle or fast-forwards the
-quiescent regions.  These tests pin the error surfaces and the
-quiescence bookkeeping both modes share.
+A malformed design must fail loudly with a precise message.  These
+tests pin the error surfaces of the engine and its staged primitives.
 """
 
 import pytest
@@ -16,48 +13,17 @@ from repro.sim import (
     Pipeline,
     SimulationError,
     Simulator,
-    Wire,
 )
 
 
 class _Idle(Component):
-    """A component with the default (always-quiescent) probe."""
-
     def evaluate(self, cycle):
         pass
 
 
-class _Restless(Component):
-    """Never quiescent: models a component with hidden busy state."""
-
-    def evaluate(self, cycle):
-        pass
-
-    def quiescent(self):
-        return False
-
-
-class TestModeValidation:
-    def test_default_is_cycle(self):
-        assert Simulator().mode == "cycle"
-
-    def test_fast_mode_accepted(self):
-        assert Simulator(mode="fast").mode == "fast"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulator mode"):
-            Simulator(mode="turbo")
-
-    def test_modes_catalog(self):
-        assert Simulator.MODES == ("cycle", "fast")
-
-
-class TestWatchdogParity:
-    """The liveness watchdog fires identically in both modes."""
-
-    @pytest.mark.parametrize("mode", Simulator.MODES)
-    def test_watchdog_message(self, mode):
-        sim = Simulator(mode=mode)
+class TestWatchdog:
+    def test_watchdog_message(self):
+        sim = Simulator()
         sim.add(_Idle())
         with pytest.raises(SimulationError) as excinfo:
             sim.run(until=lambda: False, max_cycles=17)
@@ -65,20 +31,10 @@ class TestWatchdogParity:
             "watchdog expired after 17 cycles at cycle 17; design "
             "failed to reach completion condition")
 
-    def test_watchdog_messages_identical_across_modes(self):
-        messages = []
-        for mode in Simulator.MODES:
-            sim = Simulator(mode=mode)
-            with pytest.raises(SimulationError) as excinfo:
-                sim.run(until=lambda: False, max_cycles=5)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
 
-
-class TestFifoOverflowParity:
-    @pytest.mark.parametrize("mode", Simulator.MODES)
-    def test_overflow_message(self, mode):
-        sim = Simulator(mode=mode)
+class TestFifoOverflow:
+    def test_overflow_message(self):
+        sim = Simulator()
         fifo = BoundedFifo(sim, "q", capacity=2)
         fifo.push(1)
         fifo.push(2)
@@ -87,144 +43,16 @@ class TestFifoOverflowParity:
         assert str(excinfo.value) == "FIFO 'q' overflow (capacity 2)"
 
     def test_overflow_is_a_simulation_error(self):
-        # so both modes' harnesses catch it the same way
+        # so harnesses catching SimulationError catch overflow too
         assert issubclass(FifoOverflowError, SimulationError)
 
 
-class TestDoubleIssueParity:
-    @pytest.mark.parametrize("mode", Simulator.MODES)
-    def test_double_issue_message(self, mode):
-        sim = Simulator(mode=mode)
+class TestDoubleIssue:
+    def test_double_issue_message(self):
+        sim = Simulator()
         pipe = Pipeline(sim, "mul", latency=3)
         pipe.issue("a")
         with pytest.raises(SimulationError) as excinfo:
             pipe.issue("b")
         assert str(excinfo.value) == (
             "pipeline 'mul': double issue in one cycle")
-
-
-class TestQuiescence:
-    def test_no_probes_is_not_quiescent(self):
-        # no evidence to skip on
-        assert not Simulator(mode="fast").quiescent()
-
-    def test_idle_component_is_quiescent(self):
-        sim = Simulator(mode="fast")
-        sim.add(_Idle())
-        assert sim.quiescent()
-
-    def test_restless_component_blocks_quiescence(self):
-        sim = Simulator(mode="fast")
-        sim.add(_Idle())
-        sim.add(_Restless())
-        assert not sim.quiescent()
-
-    def test_staged_wire_blocks_quiescence(self):
-        sim = Simulator(mode="fast")
-        wire = Wire(sim, "w", init=0)
-        assert sim.quiescent()
-        wire.set(1)
-        assert not sim.quiescent()
-        sim.step()
-        assert sim.quiescent()
-
-    def test_staged_fifo_blocks_quiescence(self):
-        sim = Simulator(mode="fast")
-        fifo = BoundedFifo(sim, "q", capacity=4)
-        fifo.push(1)
-        assert not sim.quiescent()
-        sim.step()
-        # committed-but-unpopped items sit still: still skippable
-        assert len(fifo) == 1
-        assert sim.quiescent()
-
-    def test_pipeline_blocks_quiescence_until_drained(self):
-        sim = Simulator(mode="fast")
-        pipe = Pipeline(sim, "add", latency=2)
-        pipe.issue("x")
-        assert not sim.quiescent()
-        sim.step()  # x in interior slot
-        assert not sim.quiescent()
-        sim.step()  # x at the output register
-        assert not sim.quiescent()
-        sim.step()  # bubble everywhere
-        assert sim.quiescent()
-
-    def test_extra_probe_registration(self):
-        sim = Simulator(mode="fast")
-        sim.add(_Idle())
-        busy = [True]
-        sim.register_quiescence(lambda: not busy[0])
-        assert not sim.quiescent()
-        busy[0] = False
-        assert sim.quiescent()
-
-
-class TestFastForward:
-    def test_requires_fast_mode(self):
-        sim = Simulator()
-        sim.add(_Idle())
-        with pytest.raises(SimulationError,
-                           match="requires Simulator\\(mode='fast'\\)"):
-            sim.fast_forward(10)
-
-    def test_requires_quiescence(self):
-        sim = Simulator(mode="fast")
-        wire = Wire(sim, "w", init=0)
-        wire.set(1)
-        with pytest.raises(SimulationError, match="not quiescent"):
-            sim.fast_forward(10)
-
-    def test_rejects_negative(self):
-        sim = Simulator(mode="fast")
-        sim.add(_Idle())
-        with pytest.raises(ValueError, match="backwards"):
-            sim.fast_forward(-1)
-
-    def test_advances_clock_without_stepping(self):
-        sim = Simulator(mode="fast")
-        stepped = []
-
-        class _Counting(_Idle):
-            def evaluate(self, cycle):
-                stepped.append(cycle)
-
-        sim.add(_Counting())
-        sim.step()
-        assert sim.fast_forward(1000) == 1000
-        assert sim.cycle == 1001
-        assert stepped == [0]  # nothing evaluated in the skip
-
-    def test_monitors_observe_skipped_cycles(self):
-        sim = Simulator(mode="fast")
-        sim.add(_Idle())
-        seen = []
-        sim.add_monitor(seen.append)
-        sim.step()
-        sim.fast_forward(3)
-        assert seen == [0, 1, 2, 3]
-
-    def test_zero_skip_is_a_noop(self):
-        sim = Simulator(mode="fast")
-        sim.add(_Idle())
-        assert sim.fast_forward(0) == 0
-        assert sim.cycle == 0
-
-    def test_skip_then_step_resumes_identically(self):
-        """A design stepped through an idle region equals the same
-        design fast-forwarded over it: same state, same clock."""
-        outputs = {}
-        for skip in (False, True):
-            sim = Simulator(mode="fast")
-            pipe = Pipeline(sim, "p", latency=2)
-            sim.step()  # cycle 0: idle
-            if skip:
-                sim.fast_forward(100)
-            else:
-                for _ in range(100):
-                    sim.step()
-            pipe.issue("payload")
-            sim.step()
-            sim.step()
-            outputs[skip] = (sim.cycle, pipe.output)
-        assert outputs[False] == outputs[True]
