@@ -565,7 +565,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         clock_mode=args.clock,
         time_scale=args.time_scale,
         fault_plan=fault_plan,
-        bounded_metrics=args.bounded_metrics,
         slo=slo_spec,
         flight_capacity=args.flight_capacity,
         flight_head_probability=args.flight_sample,
@@ -652,12 +651,11 @@ def _render_top(metrics: dict) -> str:
         f"throttled {jobs.get('quota_throttles', 0)}")
     wait = metrics.get("wait_seconds", {})
     latency = metrics.get("latency_seconds", {})
-    mode = "histogram" if metrics.get("bounded") else "exact"
     lines.append(
         f"wait p50/p99 {wait.get('p50', 0.0) * 1e3:.3f}/"
         f"{wait.get('p99', 0.0) * 1e3:.3f} ms  "
         f"latency p50/p99 {latency.get('p50', 0.0) * 1e3:.3f}/"
-        f"{latency.get('p99', 0.0) * 1e3:.3f} ms  ({mode} quantiles)")
+        f"{latency.get('p99', 0.0) * 1e3:.3f} ms  (histogram quantiles)")
     tenants = metrics.get("tenants", {})
     if tenants:
         lines.append(f"{'tenant':<12} {'subm':>6} {'done':>6} "
@@ -1083,10 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--faults-spec", metavar="PATH", default=None,
                        help="JSON fault-plan spec injected into every "
                             "epoch (see docs/faults.md)")
-    p_srv.add_argument("--bounded-metrics", action="store_true",
-                       help="histogram-backed quantiles: O(1) "
-                            "telemetry memory per tenant instead of "
-                            "per-request sample lists")
     p_srv.add_argument("--slo-spec", metavar="PATH", default=None,
                        help="JSON SLO spec to monitor live (see "
                             "docs/observability.md)")

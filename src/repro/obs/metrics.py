@@ -1,17 +1,15 @@
 """Streaming metrics: counters, gauges, log-bucket histograms.
 
 The end-of-run aggregates in :mod:`repro.runtime.metrics` keep every
-latency in a Python list — exact, but O(requests) memory, which cannot
-survive a soak run against ``repro serve``.  This module is the O(1)
-counterpart: a :class:`MetricsRegistry` of typed instruments whose
-state size is fixed no matter how many observations flow through,
-designed for the same determinism contract as the rest of the repo —
-all timestamps are the caller's *virtual* (or hybrid) clock seconds,
-nothing reads wall time, and :meth:`MetricsRegistry.snapshot_json`
-serializes byte-identically for byte-identical observation streams.
+latency of one finite run in a Python list.  A long-lived ``repro
+serve`` cannot: its one cross-epoch ledger is a
+:class:`MetricsRegistry` of typed instruments whose state size is
+fixed no matter how many observations flow through.  The registry
+keeps the repo's determinism contract: nothing reads wall time, and
+``json.dumps(snapshot(), sort_keys=True)`` is byte-identical for
+byte-identical observation streams.
 
-* :class:`Counter` — monotone float total, with optional sliding
-  :class:`RateWindow` views over virtual time.
+* :class:`Counter` — monotone float total.
 * :class:`Gauge` — last-write-wins level.
 * :class:`Histogram` — fixed-boundary log-bucket histogram.  With the
   default boundaries (:func:`log_boundaries`, 30 buckets per decade
@@ -19,25 +17,23 @@ serializes byte-identically for byte-identical observation streams.
   reconstructed to within :attr:`Histogram.error_bound` relative error
   (≈ 3.9 %): the estimate is the geometric midpoint of the bucket
   holding the nearest-rank order statistic, clamped into the exact
-  observed ``[min, max]``.  Histograms with equal boundaries merge by
-  bucket-count addition, so per-epoch and per-tenant histograms
-  aggregate exactly (counts are integers; ``sum`` adds floats in
-  argument order).
+  observed ``[min, max]``.
+* :class:`RateWindow` — per-slot sums over a sliding window of
+  virtual time (the SLO monitor's burn-rate rings).
 * Prometheus-style text exposition (:func:`to_prom_text`) rendered
   from a snapshot — so both a live server and a saved
   ``--metrics-out`` file can serve the same format — plus
   :func:`parse_prom_text` so tests and CI can assert the exposition
   is well formed without a Prometheus client.
 
-This module must import nothing outside the standard library:
-:mod:`repro.runtime.metrics` imports it, and ``repro.obs`` must stay
-importable from the runtime package without a cycle.
+This module must import nothing outside the standard library: the
+runtime executor imports ``repro.obs``, which must stay importable
+from the runtime package without a cycle.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import re
 from collections import deque
@@ -180,28 +176,6 @@ class Histogram:
     def _clamp(self, estimate: float) -> float:
         return min(max(estimate, self.min), self.max)
 
-    # -- aggregation -----------------------------------------------------
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram (equal boundaries only).
-
-        Bucket counts add exactly; ``sum`` adds floats, so merge is
-        associative up to float addition (exactly associative for
-        dyadic values).  Returns ``self``.
-        """
-        if other.boundaries != self.boundaries:
-            raise ValueError("cannot merge histograms with different "
-                             "boundaries")
-        for index, bucket in enumerate(other.counts):
-            self.counts[index] += bucket
-        self.zero_count += other.zero_count
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
-
     # -- export ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """JSON-stable state: sparse non-empty buckets as
@@ -279,38 +253,17 @@ class RateWindow:
         return math.fsum(amount for slot, amount in self._slots
                          if slot >= oldest_kept)
 
-    def rate(self, now: float) -> float:
-        """Events (or amount) per virtual second over the window."""
-        return self.sum(now) / self.window
-
 
 class Counter:
-    """Monotone total with optional sliding-window rate views."""
+    """Monotone total."""
 
-    def __init__(self, windows: Sequence[float] = ()) -> None:
+    def __init__(self) -> None:
         self.value = 0.0
-        self._windows: Dict[float, RateWindow] = {
-            float(w): RateWindow(w) for w in windows}
 
-    def inc(self, amount: float = 1.0,
-            at: Optional[float] = None) -> None:
+    def inc(self, amount: float = 1.0) -> None:
         if amount < 0.0:
             raise ValueError("counters only go up")
         self.value += amount
-        if at is not None:
-            for window in self._windows.values():
-                window.add(at, amount)
-
-    def rate(self, window: float, now: float) -> float:
-        try:
-            return self._windows[float(window)].rate(now)
-        except KeyError:
-            raise ValueError(
-                f"no {window}s rate window configured; available: "
-                f"{sorted(self._windows)}") from None
-
-    def combine(self, other: "Counter") -> None:
-        self.value += other.value
 
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
@@ -324,12 +277,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def combine(self, other: "Gauge") -> None:
-        self.value = other.value
 
     def snapshot(self) -> Dict[str, Any]:
         return {"value": self.value}
@@ -354,10 +301,9 @@ class MetricsRegistry:
 
     Registration is idempotent; asking for an existing name with a
     different type raises.  ``snapshot()`` is a plain dict sorted by
-    identity, and ``snapshot_json()`` is canonical JSON — two
-    registries fed the same observation stream serialize
-    byte-identically, which is the replay contract ``repro serve
-    --metrics-out`` pins in CI.
+    identity — two registries fed the same observation stream
+    serialize byte-identically, which is the replay contract ``repro
+    serve --metrics-out`` pins in CI.
     """
 
     def __init__(self) -> None:
@@ -386,10 +332,8 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str, *, help: str = "",
-                labels: Optional[Mapping[str, str]] = None,
-                windows: Sequence[float] = ()) -> Counter:
-        return self._get("counter", name, labels, help,
-                         lambda: Counter(windows=windows))
+                labels: Optional[Mapping[str, str]] = None) -> Counter:
+        return self._get("counter", name, labels, help, Counter)
 
     def gauge(self, name: str, *, help: str = "",
               labels: Optional[Mapping[str, str]] = None) -> Gauge:
@@ -405,37 +349,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    # -- aggregation -----------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in: counters add, gauges take the
-        other's level, histograms bucket-merge.  Instruments missing
-        here are created with the other's type.  Returns ``self``."""
-        for ident, metric in other._metrics.items():
-            name = ident.split("{", 1)[0]
-            kind = other._types[name]
-            family_type = self._types.get(name)
-            if family_type is not None and family_type != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{family_type}, not {kind}")
-            mine = self._metrics.get(ident)
-            if mine is None:
-                if kind == "histogram":
-                    mine = Histogram(boundaries=metric.boundaries)
-                elif kind == "counter":
-                    mine = Counter()
-                else:
-                    mine = Gauge()
-                self._metrics[ident] = mine
-                self._types[name] = kind
-                if name in other._help and name not in self._help:
-                    self._help[name] = other._help[name]
-            if kind == "histogram":
-                mine.merge(metric)
-            else:
-                mine.combine(metric)
-        return self
-
     # -- export ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         metrics = {}
@@ -445,13 +358,6 @@ class MetricsRegistry:
             entry.update(self._metrics[ident].snapshot())
             metrics[ident] = entry
         return {"metrics": metrics}
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
-
-    def prom_text(self) -> str:
-        return to_prom_text(self.snapshot())
 
 
 # -- Prometheus-style exposition -----------------------------------------

@@ -227,7 +227,6 @@ class BlasRuntime:
                  degrade: bool = True,
                  max_gang: int = 1,
                  clock: Optional[VirtualClock] = None,
-                 bounded_metrics: bool = False,
                  sim_mode: str = "cycle") -> None:
         if system is None:
             system = make_xd1_system(chassis, blades=blades)
@@ -263,10 +262,6 @@ class BlasRuntime:
             raise ValueError("verify_tolerance must be positive")
         self.verify_tolerance = verify_tolerance
         self.degrade = degrade
-        #: Bounded-metrics mode: the final RuntimeMetrics keeps O(1)
-        #: histograms instead of full wait/latency lists — what the
-        #: serve layer runs epochs with on a soak.
-        self.bounded_metrics = bounded_metrics
         #: Execution substrate for every BLAS call this runtime makes
         #: (see :mod:`repro.sim.fast`): "cycle" steps the designs,
         #: "fast"/"auto" use the proven-equivalent fast paths.  Charged
@@ -1105,19 +1100,17 @@ class BlasRuntime:
             name = job.request.tenant
             if name is None:
                 continue
-            bucket = tenants.setdefault(
-                name, TenantMetrics(name=name,
-                                    bounded=self.bounded_metrics))
+            bucket = tenants.setdefault(name, TenantMetrics(name=name))
             bucket.jobs_submitted += 1
             if job.state is JobState.DONE:
                 bucket.jobs_completed += 1
-                bucket.observe_wait(job.waiting_seconds)
-                bucket.observe_latency(job.latency_seconds)
+                bucket.wait_seconds.append(job.waiting_seconds)
+                bucket.latency_seconds.append(job.latency_seconds)
             elif job.state is JobState.FAILED:
                 bucket.jobs_failed += 1
             elif job.state is JobState.REJECTED:
                 bucket.jobs_rejected += 1
-        metrics = RuntimeMetrics(
+        return RuntimeMetrics(
             policy=self.policy.name,
             device_count=len(self.devices),
             makespan_seconds=makespan,
@@ -1130,7 +1123,8 @@ class BlasRuntime:
             batches=self._next_batch_id,
             deadline_misses=sum(1 for j in done if j.missed_deadline),
             total_flops=sum(j.report.flops for j in done),
-            bounded=self.bounded_metrics,
+            wait_seconds=[j.waiting_seconds for j in done],
+            latency_seconds=[j.latency_seconds for j in done],
             max_queue_depth=self._max_depth,
             mean_queue_depth=(self._depth_area / makespan
                               if makespan > 0 else 0.0),
@@ -1158,10 +1152,6 @@ class BlasRuntime:
             devices=[d.metrics for d in self.devices],
             tenants=tenants,
         )
-        for job in done:
-            metrics.observe_wait(job.waiting_seconds)
-            metrics.observe_latency(job.latency_seconds)
-        return metrics
 
     @property
     def jobs(self) -> Tuple[Job, ...]:

@@ -14,20 +14,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.metrics import Histogram
-
 
 def percentile(values: Sequence[float], pct: float) -> float:
     """Linear-interpolation percentile (deterministic, numpy-free so
     the schema does not depend on numpy version behavior).
 
-    This is the repo's *single* exact percentile implementation
-    (``repro.serve.loadgen`` re-exports it).  It needs the full value
-    list, so it is O(requests) memory — long-lived paths should
-    prefer the bounded-error histogram quantiles that
-    ``TenantMetrics``/``RuntimeMetrics`` switch to in bounded mode
-    (``BlasRuntime(bounded_metrics=True)``); keep this for tests and
-    offline reports where exactness matters."""
+    This is the repo's *single* exact percentile implementation.  It
+    needs the full value list, which a finite runtime run already
+    holds; the long-lived serve layer instead reads the bounded-error
+    quantiles of :class:`repro.obs.metrics.Histogram`."""
     if not 0.0 <= pct <= 100.0:
         raise ValueError("pct must be in [0, 100]")
     if not values:
@@ -98,10 +93,7 @@ class TenantMetrics:
     """What one tenant's traffic experienced over the run.
 
     Populated by the executor for any job whose request carries a
-    ``tenant`` tag, and extended by the ``repro.serve`` admission layer
-    with counts the executor never sees (quota throttles, admission
-    rejects).  Loadgen reports and traces both read this block, so
-    there is one source of truth for per-tenant numbers.
+    ``tenant`` tag.
     """
 
     name: str
@@ -109,73 +101,17 @@ class TenantMetrics:
     jobs_completed: int = 0
     jobs_failed: int = 0
     jobs_rejected: int = 0
-    #: Submissions the serve layer refused before the executor ever
-    #: saw them (token-bucket quota exhausted).
+    #: Admission throttles happen before a job exists, so a runtime
+    #: report always carries 0 here.
     quota_throttles: int = 0
     wait_seconds: List[float] = field(default_factory=list)
     latency_seconds: List[float] = field(default_factory=list)
-    #: Bounded mode: keep O(1) log-bucket histograms instead of the
-    #: full value lists — percentiles come from
-    #: :meth:`repro.obs.metrics.Histogram.quantile` (within its
-    #: documented relative error) and the lists stay empty.
-    bounded: bool = False
-    wait_hist: Optional[Histogram] = None
-    latency_hist: Optional[Histogram] = None
-
-    def __post_init__(self) -> None:
-        if self.bounded:
-            if self.wait_hist is None:
-                self.wait_hist = Histogram()
-            if self.latency_hist is None:
-                self.latency_hist = Histogram()
-
-    def observe_wait(self, seconds: float) -> None:
-        if self.bounded:
-            self.wait_hist.observe(seconds)
-        else:
-            self.wait_seconds.append(seconds)
-
-    def observe_latency(self, seconds: float) -> None:
-        if self.bounded:
-            self.latency_hist.observe(seconds)
-        else:
-            self.latency_seconds.append(seconds)
 
     def wait_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.wait_hist.quantile(pct / 100.0)
         return percentile(self.wait_seconds, pct)
 
     def latency_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.latency_hist.quantile(pct / 100.0)
         return percentile(self.latency_seconds, pct)
-
-    def merge_from(self, other: "TenantMetrics") -> None:
-        """Fold another tenant block (e.g. one epoch's) into this one.
-
-        Works across modes: bounded ← bounded merges histograms
-        exactly (equal boundaries), bounded ← unbounded observes the
-        other's values, unbounded ← unbounded extends the lists."""
-        self.jobs_submitted += other.jobs_submitted
-        self.jobs_completed += other.jobs_completed
-        self.jobs_failed += other.jobs_failed
-        self.jobs_rejected += other.jobs_rejected
-        self.quota_throttles += other.quota_throttles
-        if self.bounded:
-            if other.bounded:
-                self.wait_hist.merge(other.wait_hist)
-                self.latency_hist.merge(other.latency_hist)
-            else:
-                self.wait_hist.observe_many(other.wait_seconds)
-                self.latency_hist.observe_many(other.latency_seconds)
-        elif other.bounded:
-            raise ValueError(
-                "cannot merge a bounded tenant block into an "
-                "unbounded one (the exact values are gone)")
-        else:
-            self.wait_seconds.extend(other.wait_seconds)
-            self.latency_seconds.extend(other.latency_seconds)
 
     def to_dict(self) -> Dict:
         return {
@@ -214,11 +150,6 @@ class RuntimeMetrics:
     total_flops: int
     wait_seconds: List[float] = field(default_factory=list)
     latency_seconds: List[float] = field(default_factory=list)
-    #: Bounded mode (see :class:`TenantMetrics`): histogram-backed
-    #: percentiles, empty lists, O(1) memory per run.
-    bounded: bool = False
-    wait_hist: Optional[Histogram] = None
-    latency_hist: Optional[Histogram] = None
     max_queue_depth: int = 0
     mean_queue_depth: float = 0.0
     #: Fault-plane accounting (all zero on a fault-free run).
@@ -248,25 +179,6 @@ class RuntimeMetrics:
     #: from ``to_dict``/``summary``) unless requests carried tenants.
     tenants: Dict[str, TenantMetrics] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.bounded:
-            if self.wait_hist is None:
-                self.wait_hist = Histogram()
-            if self.latency_hist is None:
-                self.latency_hist = Histogram()
-
-    def observe_wait(self, seconds: float) -> None:
-        if self.bounded:
-            self.wait_hist.observe(seconds)
-        else:
-            self.wait_seconds.append(seconds)
-
-    def observe_latency(self, seconds: float) -> None:
-        if self.bounded:
-            self.latency_hist.observe(seconds)
-        else:
-            self.latency_seconds.append(seconds)
-
     # -- derived ---------------------------------------------------------
     @property
     def sustained_gflops(self) -> float:
@@ -282,13 +194,9 @@ class RuntimeMetrics:
         return self.jobs_completed / self.makespan_seconds
 
     def wait_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.wait_hist.quantile(pct / 100.0)
         return percentile(self.wait_seconds, pct)
 
     def latency_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.latency_hist.quantile(pct / 100.0)
         return percentile(self.latency_seconds, pct)
 
     @property

@@ -30,11 +30,6 @@ class CoalesceStats:
     #: Largest group formed.
     max_group: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"groups": self.groups,
-                "coalesced_requests": self.coalesced_requests,
-                "max_group": self.max_group}
-
 
 def gemm_shape_key(spec: Mapping) -> Tuple:
     """Design identity for coalescing — must match the executor's

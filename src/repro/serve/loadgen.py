@@ -21,11 +21,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-# Re-exported: the repo's single exact percentile implementation lives
-# in repro.runtime.metrics; client-side consumers of loadgen reports
-# import it from here.  Prefer histogram-backed quantiles
-# (repro.obs.metrics.Histogram) for anything long-lived.
-from repro.runtime.metrics import percentile
 from repro.serve import protocol
 from repro.serve.server import STREAM_LIMIT
 from repro.workloads import DEFAULT_TENANTS, multi_tenant_mix
@@ -35,7 +30,6 @@ __all__ = [
     "build_stream",
     "run_loadgen",
     "render_report",
-    "percentile",
 ]
 
 #: Submits in flight before the client stops to read responses.

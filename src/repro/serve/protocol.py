@@ -84,7 +84,10 @@ def encode(payload: Mapping[str, Any]) -> bytes:
 def decode(line: "bytes | str") -> Dict[str, Any]:
     """Parse one line into a message object."""
     if isinstance(line, bytes):
-        line = line.decode("utf-8")
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"not valid UTF-8: {exc}") from None
     try:
         message = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -443,7 +443,6 @@ class TestTopAndObservabilityFlags:
 
     def test_serve_observability_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.bounded_metrics is False
         assert args.slo_spec is None
         assert args.flight_capacity == 256
         assert args.flight_sample == pytest.approx(0.01)
@@ -457,7 +456,7 @@ class TestTopAndObservabilityFlags:
              "threshold": 1e-9, "quantile": 0.5,
              "windows": [0.25, 2.0]}]}))
         server, port, box = self._start_serve(
-            ["--bounded-metrics", "--slo-spec", str(spec),
+            ["--slo-spec", str(spec),
              "--metrics-out", str(tmp_path / "obs.json"),
              "--prom-out", str(tmp_path / "metrics.prom")])
         rc = main(["loadgen", "--port", str(port), "--count", "40",

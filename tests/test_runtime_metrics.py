@@ -10,7 +10,6 @@ from repro.runtime.job import BlasRequest
 from repro.runtime.metrics import (
     DeviceMetrics,
     RuntimeMetrics,
-    TenantMetrics,
     percentile,
 )
 
@@ -135,68 +134,3 @@ class TestRuntimeMetricsExport:
         assert payload["sustained_gflops"] == 0.0
         assert payload["mean_utilization"] == 0.0
 
-
-class TestBoundedMode:
-    """Histogram-backed TenantMetrics / RuntimeMetrics (O(1) memory)."""
-
-    @staticmethod
-    def _run(bounded):
-        rng = np.random.default_rng(5)
-        runtime = BlasRuntime(chassis=1, blades=2,
-                              bounded_metrics=bounded)
-        for _ in range(8):
-            runtime.submit(BlasRequest(
-                "dot", (rng.standard_normal(128),
-                        rng.standard_normal(128)),
-                tenant="astro"))
-        return runtime.run()
-
-    def test_lists_stay_empty(self):
-        metrics = self._run(bounded=True)
-        assert metrics.bounded
-        assert metrics.wait_seconds == []
-        assert metrics.latency_seconds == []
-        assert metrics.latency_hist.count == 8
-
-    def test_to_dict_shape_unchanged(self):
-        exact = self._run(bounded=False).to_dict()
-        bounded = self._run(bounded=True).to_dict()
-        assert set(exact) == set(bounded)
-        assert set(exact["tenants"]["astro"]) == \
-            set(bounded["tenants"]["astro"])
-
-    def test_quantiles_within_histogram_bound(self):
-        exact = self._run(bounded=False)
-        bounded = self._run(bounded=True)
-        error_bound = bounded.latency_hist.error_bound
-        for pct in (50, 99):
-            want = exact.latency_percentile(pct)
-            got = bounded.latency_percentile(pct)
-            assert got == pytest.approx(want, rel=error_bound)
-
-    def test_tenant_merge_bounded_from_bounded(self):
-        parts = []
-        for offset in (1, 2):
-            block = TenantMetrics(name="a", bounded=True)
-            block.jobs_submitted = offset
-            block.observe_latency(2.0 ** -offset)
-            parts.append(block)
-        total = TenantMetrics(name="a", bounded=True)
-        for part in parts:
-            total.merge_from(part)
-        assert total.jobs_submitted == 3
-        assert total.latency_hist.count == 2
-
-    def test_tenant_merge_bounded_from_unbounded(self):
-        exact = TenantMetrics(name="a")
-        exact.observe_latency(1e-3)
-        total = TenantMetrics(name="a", bounded=True)
-        total.merge_from(exact)
-        assert total.latency_hist.count == 1
-
-    def test_tenant_merge_unbounded_from_bounded_raises(self):
-        bounded = TenantMetrics(name="a", bounded=True)
-        bounded.observe_latency(1e-3)
-        exact = TenantMetrics(name="a")
-        with pytest.raises(ValueError, match="exact values"):
-            exact.merge_from(bounded)

@@ -133,13 +133,6 @@ class TestLiveReplay:
 
 
 class TestObservabilityInReport:
-    def test_percentile_is_the_runtime_implementation(self):
-        # Satellite contract: one exact percentile implementation,
-        # re-exported here for report consumers.
-        from repro.runtime.metrics import percentile as canonical
-        from repro.serve.loadgen import percentile as exported
-        assert exported is canonical
-
     def test_report_carries_slo_verdict(self):
         from repro.obs.slo import BurnWindow, SloObjective, SloSpec
         spec = SloSpec(objectives=(

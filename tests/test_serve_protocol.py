@@ -25,6 +25,10 @@ class TestEncoding:
         with pytest.raises(protocol.ProtocolError, match="object"):
             protocol.decode(b"[1,2,3]\n")
 
+    def test_decode_rejects_non_utf8_as_protocol_error(self):
+        with pytest.raises(protocol.ProtocolError, match="UTF-8"):
+            protocol.decode(b'{"op":"drain"}\xff\n')
+
 
 class TestValidateCall:
     def test_minimal_spec(self):

@@ -6,12 +6,14 @@ final class round-trips the same flows over a real asyncio socket.
 """
 
 import asyncio
+import hashlib
 import json
 import threading
 
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan
 from repro.serve import protocol
 from repro.serve.server import (
     BlasServer,
@@ -286,8 +288,8 @@ class TestServiceCore:
                               "blades": 2, "seed": 0})
         drained = service.handle({"op": "drain"})
         assert drained["results"][0]["state"] == "done"
-        epoch = service.last_epoch_metrics
-        assert epoch["gangs"]["formed"] == 1
+        registry = service.metrics()["registry"]["metrics"]
+        assert registry["runtime.gangs"]["value"] == 1.0
 
     def test_hybrid_clock_same_results_as_virtual(self):
         def run(mode):
@@ -396,6 +398,67 @@ class TestTcpServer:
         assert first["type"] == "error"
         assert second["type"] == "shutdown"
 
+    def test_non_utf8_line_gets_error_and_connection_survives(
+            self, caplog):
+        service = BlasService()
+        thread, port = _start_server(service)
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(b'{"op": "metrics"}\xff\n')
+            await writer.drain()
+            first = protocol.decode(await reader.readline())
+            writer.write(protocol.encode({"op": "hello",
+                                          "tenant": "astro"}))
+            await writer.drain()
+            second = protocol.decode(await reader.readline())
+            writer.write(protocol.encode({"op": "shutdown"}))
+            await writer.drain()
+            third = protocol.decode(await reader.readline())
+            writer.close()
+            return first, second, third
+
+        first, second, third = asyncio.run(scenario())
+        thread.join(10)
+        assert first["type"] == "error"
+        assert "UTF-8" in first["detail"]
+        assert second["type"] == "hello"
+        assert third["type"] == "shutdown"
+        assert "client_connected_cb" not in caplog.text
+
+    def test_oversize_line_gets_one_error_then_close(
+            self, monkeypatch, caplog):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "STREAM_LIMIT", 1024)
+        service = BlasService()
+        thread, port = _start_server(service)
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=1 << 20)
+            writer.write(b'{"op": "' + b"x" * 4096 + b'"}\n')
+            await writer.drain()
+            replies = []
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                replies.append(protocol.decode(line))
+            writer.close()
+            # The service keeps serving other connections.
+            return replies, await _roundtrip(port, [
+                {"op": "shutdown"}])
+
+        replies, (bye,) = asyncio.run(scenario())
+        thread.join(10)
+        assert len(replies) == 1
+        assert replies[0]["type"] == "error"
+        assert "1024-byte limit" in replies[0]["detail"]
+        assert bye["type"] == "shutdown"
+        assert "client_connected_cb" not in caplog.text
+
     def test_ephemeral_port_allocation(self):
         async def scenario():
             server = BlasServer(BlasService(), port=0)
@@ -430,7 +493,6 @@ class TestObservability:
         service = BlasService()
         self._drive(service)
         metrics = service.handle({"op": "metrics"})["metrics"]
-        assert metrics["bounded"] is False
         assert metrics["slo"] is None
         registry = metrics["registry"]["metrics"]
         assert registry["runtime.jobs.completed"]["value"] == 12.0
@@ -438,6 +500,25 @@ class TestObservability:
         assert registry["serve.latency_seconds"]["count"] == 12
         assert metrics["flight"]["seen"] == 12
         assert metrics["trace"]["events"] >= 1
+
+    def test_metrics_read_the_registry_without_adding_to_it(self):
+        service = BlasService()
+        self._drive(service)
+        service.handle({"op": "hello", "tenant": "idle"})
+        size = len(service.registry)
+        metrics = service.metrics()
+        assert len(service.registry) == size
+        registry = metrics["registry"]["metrics"]
+        for block in ("wait_seconds", "latency_seconds"):
+            assert metrics[block]["p99"] == \
+                registry[f"serve.{block}"]["p99"]
+            tenant = registry[f'serve.{block}.tenant{{tenant="astro"}}']
+            assert metrics["tenants"]["astro"][block] == {
+                "p50": tenant["p50"], "p99": tenant["p99"]}
+        assert registry['serve.results.tenant{state="done",'
+                        'tenant="astro"}']["value"] == 12.0
+        assert metrics["tenants"]["idle"]["latency_seconds"] == {
+            "p50": 0.0, "p99": 0.0}
 
     def test_registry_tracks_runtime_counters(self):
         service = BlasService()
@@ -476,27 +557,6 @@ class TestObservability:
         assert response["type"] == "slo"
         assert response["slo"] is None
 
-    def test_bounded_metrics_close_to_exact(self):
-        def run(bounded):
-            service = BlasService(
-                ServeConfig(bounded_metrics=bounded))
-            self._drive(service, count=30)
-            return service.handle({"op": "metrics"})["metrics"]
-
-        exact = run(False)
-        bounded = run(True)
-        assert bounded["bounded"] is True
-        # With 30 samples the nearest-rank histogram and the
-        # interpolating exact percentile pick neighbouring order
-        # statistics, so allow rank slop on top of the bucket bound;
-        # the tight 3.9% contract is pinned in test_obs_metrics
-        # against 5000 samples.
-        for block in ("wait_seconds", "latency_seconds"):
-            for pct in ("p50", "p99"):
-                assert bounded[block][pct] == pytest.approx(
-                    exact[block][pct], rel=0.30)
-                assert bounded[block][pct] > 0.0
-
     def test_observability_snapshot_byte_identical(self):
         def run():
             service = BlasService(ServeConfig(
@@ -527,3 +587,124 @@ class TestObservability:
         assert len(service.recorder) <= 2
         metrics = service.handle({"op": "metrics"})["metrics"]
         assert metrics["trace"]["events"] <= 2
+
+
+def _golden_traffic(service, seed, tenants=("astro", "fusion", "solver"),
+                    doomed="fusion", epochs=4, per_epoch=14):
+    """Drive ``epochs`` drains of mixed traffic.  Each epoch adds a
+    burst of three same-shape gemms (one coalescing group), invalid
+    submits (no ``n``, a negative ``at``, no tenant, a cg program the
+    verifier rejects) and one unplannable gemm from ``doomed``."""
+    rng = np.random.default_rng(seed)
+    kinds = (("dot", 128), ("gemv", 24), ("gemm", 32), ("spmxv", 6),
+             ("cg", 6))
+    at = 0.0
+    client_id = 0
+    for epoch in range(epochs):
+        for _ in range(per_epoch):
+            at += float(rng.uniform(2e-5, 3e-4))
+            operation, n = kinds[int(rng.integers(len(kinds)))]
+            spec = {"operation": operation, "n": n,
+                    "seed": int(rng.integers(0, 2**31))}
+            if operation == "cg":
+                spec["k"] = 4
+            submit(service, tenants[int(rng.integers(len(tenants)))],
+                   spec, at=at, client_id=client_id)
+            client_id += 1
+        for i in range(3):
+            submit(service, tenants[i % len(tenants)],
+                   {"operation": "gemm", "n": 16, "seed": i}, at=at)
+        submit(service, tenants[epoch % len(tenants)],
+               {"operation": "dot"}, at=at)
+        submit(service, tenants[0], {"operation": "dot", "n": 8},
+               at=-1.0)
+        service.handle({"op": "submit", "at": at,
+                        "call": {"operation": "dot", "n": 8}})
+        submit(service, tenants[-1],
+               {"operation": "cg", "n": 12, "k": 8, "seed": 0}, at=at)
+        submit(service, doomed,
+               {"operation": "gemm", "n": 8, "k": 8, "seed": epoch},
+               at=at)
+        service.handle({"op": "drain"})
+
+
+def _tenants_invalid_cg():
+    """Three tenants with unequal weights and one throttled tenant,
+    plus a tenant that only said hello."""
+    service = BlasService(quotas={
+        "astro": TenantQuota(weight=2.0),
+        "fusion": TenantQuota(rate=500.0, burst=6)})
+    service.handle({"op": "hello", "tenant": "idle"})
+    _golden_traffic(service, seed=3)
+    return service
+
+
+def _fault_storm_small_queue():
+    """The same traffic through a four-slot queue while crashes,
+    failed bitstream loads and stalls strike every epoch."""
+    storm = FaultPlan.storm(seed=11, horizon=0.01, crash_rate=300.0,
+                            reconfig_rate=300.0, stall_rate=600.0,
+                            crash_duration=5e-4)
+    service = BlasService(
+        ServeConfig(queue_capacity=4, fault_plan=storm),
+        quotas={"fusion": TenantQuota(rate=500.0, burst=6)})
+    service.handle({"op": "hello", "tenant": "idle"})
+    _golden_traffic(service, seed=3)
+    return service
+
+
+def _tight_quota():
+    """Every tenant on a small token bucket and pending cap; a fourth
+    tenant submits only unplannable calls and is reported starved."""
+    service = BlasService(default_quota=TenantQuota(
+        rate=400.0, burst=6, max_pending=4))
+    _golden_traffic(service, seed=5, doomed="lost")
+    return service
+
+
+GOLDEN_SCENARIOS = {
+    "tenants_invalid_cg": _tenants_invalid_cg,
+    "fault_storm_small_queue": _fault_storm_small_queue,
+    "tight_quota": _tight_quota,
+}
+
+#: sha256 of the canonical ``metrics()`` JSON (without the registry
+#: snapshot) per scenario.
+GOLDEN_METRICS = {
+    "fault_storm_small_queue":
+        "4b16f92fb09c301c7ce55d2ec872bcf0f78f6cb5db8a81fb0b50ffe6357712e3",
+    "tenants_invalid_cg":
+        "b71e258382553082e1c54365bb2049dbca5dc6d2322a8d8e007e4cde28fc03c6",
+    "tight_quota":
+        "b171c417c02fc9ade0d54a9e98c6f682b4ebf428bf880548cbf3f83509c04e82",
+}
+
+
+def _canonical_metrics(service):
+    metrics = service.metrics()
+    del metrics["registry"]
+    return json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+
+
+class TestMetricsGolden:
+    """``metrics()`` pinned by digest: a change to how the service
+    keeps its telemetry must reproduce every count and percentile of
+    the code that recorded these digests.  The fault storm carries no
+    bit flips, so nothing value-dependent (and so nothing host-BLAS
+    dependent) reaches the report."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_scenario_exercises_every_outcome(self, name):
+        metrics = GOLDEN_SCENARIOS[name]().metrics()
+        jobs = metrics["jobs"]
+        assert jobs["completed"] > 0
+        assert jobs["failed"] > 0
+        assert jobs["quota_throttles"] > 0
+        assert sum(t["jobs"]["rejected"]
+                   for t in metrics["tenants"].values()) > 0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+    def test_metrics_match_golden_digest(self, name):
+        text = _canonical_metrics(GOLDEN_SCENARIOS[name]())
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == GOLDEN_METRICS[name]
