@@ -5,7 +5,7 @@ Three layers share one diagnostics format (:mod:`.diagnostics`):
 * the **design-rule checker** (:mod:`.drc`) statically enforces the
   paper's hardware invariants — reduction-buffer bound, MVM hazard
   condition, storage/bandwidth/area budgets, gang preconditions — on
-  any :class:`repro.blas.api.BlasCall`, plan, or JSON design spec;
+  any :class:`DesignUnderCheck` or JSON design spec;
 * the **program verifier** (:mod:`.program`) checks whole streaming
   :class:`repro.blas.program.BlasProgram` DAGs — shape inference
   along edges, streamed-link bandwidth, illegal edge classes, feed()
@@ -16,9 +16,10 @@ Three layers share one diagnostics format (:mod:`.diagnostics`):
   equality) over the source tree, including the interprocedural
   taint (LINT006) and await-epoch (LINT007) rules.
 
-``repro analyze`` runs all three; ``BlasCall.plan(check=True)`` and
-``BlasProgram.plan(check=True)`` run the matching layer inline and
-raise :class:`DesignRuleError` on violations.
+``repro analyze`` runs all three.  Serve admission runs the program
+verifier on each program submission, and
+:meth:`repro.blas.program.BlasProgram.check` (which runtime admission
+calls) raises :class:`DesignRuleError` on violations.
 """
 
 from repro.analyze.catalog import shipped_designs, shipped_programs
@@ -35,9 +36,7 @@ from repro.analyze.drc import (
     DRC_RULES,
     DesignRuleError,
     DesignUnderCheck,
-    check_call,
     check_design,
-    check_plan,
     check_specs,
 )
 from repro.analyze.lint import (
@@ -74,9 +73,7 @@ __all__ = [
     "DesignRuleError",
     "DesignUnderCheck",
     "ProgramUnderCheck",
-    "check_call",
     "check_design",
-    "check_plan",
     "check_program",
     "check_program_spec",
     "check_program_specs",

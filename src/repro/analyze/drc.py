@@ -5,9 +5,9 @@ row- and column-major MVM, the linear-array matrix multiply, the
 Section 5.2 multi-FPGA gang, SpMXV — is only correct under explicit
 structural preconditions the paper states but execution only trips
 over at depth.  This module checks them *without executing anything*:
-a :class:`DesignUnderCheck` (built from a :class:`repro.blas.api.
-BlasCall`, an :class:`repro.blas.api.ExecutionPlan`, or a plain JSON
-spec) is run through the rule registry against a
+a :class:`DesignUnderCheck` (built directly, from a plain JSON spec,
+or by the program verifier for each kernel node) is run through the
+rule registry against a
 :class:`repro.analyze.platform.PlatformModel` and machine-readable
 diagnostics come back.
 
@@ -63,7 +63,8 @@ _REDUCTION_OPS = {"dot", "spmxv"}
 
 
 class DesignRuleError(ValueError):
-    """Raised by ``BlasCall.plan(check=True)`` on DRC errors."""
+    """Raised by :meth:`repro.blas.program.BlasProgram.check` (which
+    runtime admission calls) when a report carries errors."""
 
     def __init__(self, report: AnalysisReport) -> None:
         self.report = report
@@ -111,45 +112,6 @@ class DesignUnderCheck:
         return (self.operation in _REDUCTION_OPS
                 or (self.operation == "gemv"
                     and self.architecture == "tree"))
-
-    @classmethod
-    def from_call(cls, call: object) -> "DesignUnderCheck":
-        """Normalize a :class:`repro.blas.api.BlasCall`."""
-        dims = call._dims()  # shared geometry/validation path
-        return cls(
-            operation=call.operation,
-            n=max(dims),
-            k=call.k,
-            architecture=getattr(call, "architecture", "tree"),
-            m=call.m,
-            blades=call.blades,
-            clock_mhz=call.clock_mhz,
-        )
-
-    @classmethod
-    def from_plan(cls, plan: object) -> "DesignUnderCheck":
-        """Normalize a :class:`repro.blas.api.ExecutionPlan`.
-
-        The plan's clock is the area model's *output* (possibly
-        without the XD1 shell), not a user constraint, so it is not
-        carried over as a requested clock — explicit clock requests
-        are checked on the originating call (:meth:`from_call`).
-        """
-        from repro.runtime.scheduler import plan_gang_width
-
-        operation = plan.operation
-        architecture = "tree"
-        if operation.startswith("gemv["):
-            architecture = operation[len("gemv["):-1]
-            operation = "gemv"
-        return cls(
-            operation=operation,
-            n=plan.n,
-            k=plan.k,
-            architecture=architecture,
-            m=plan.m,
-            blades=plan_gang_width(plan),
-        )
 
     @classmethod
     def from_spec(cls, spec: Mapping[str, object]) -> "DesignUnderCheck":
@@ -643,20 +605,6 @@ def check_design(design: DesignUnderCheck,
     for rule in DRC_RULES.values():
         diagnostics.extend(rule.check(ctx))
     return AnalysisReport(diagnostics)
-
-
-def check_call(call: object,
-               platform: "str | PlatformModel" = "xd1",
-               ) -> AnalysisReport:
-    """DRC a :class:`repro.blas.api.BlasCall` without executing it."""
-    return check_design(DesignUnderCheck.from_call(call), platform)
-
-
-def check_plan(plan: object,
-               platform: "str | PlatformModel" = "xd1",
-               ) -> AnalysisReport:
-    """DRC an :class:`repro.blas.api.ExecutionPlan`."""
-    return check_design(DesignUnderCheck.from_plan(plan), platform)
 
 
 def check_specs(specs: Iterable[Mapping[str, object]],

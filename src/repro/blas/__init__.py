@@ -11,8 +11,8 @@
   multiply exploiting the full memory hierarchy (Section 5.2).
 * :mod:`repro.blas.api` — the user-facing ``dot`` / ``gemv`` / ``gemm``
   / ``spmxv`` entry points that pair numerical results with performance
-  reports, and the non-executing ``plan_*`` predictors the runtime
-  scheduler places jobs with.
+  reports, and the :class:`BlasCall` descriptor whose ``plan()`` the
+  runtime scheduler places jobs with.
 """
 
 from repro.blas.level1 import DotProductDesign, DotProductRun
@@ -33,11 +33,6 @@ from repro.blas.api import (
     gemm_multi,
     gemv,
     max_gemm_gang,
-    plan_dot,
-    plan_gemm,
-    plan_gemm_multi,
-    plan_gemv,
-    plan_spmxv,
     spmxv,
 )
 from repro.blas.program import (
@@ -62,11 +57,6 @@ __all__ = [
     "gemm",
     "gemm_multi",
     "spmxv",
-    "plan_dot",
-    "plan_gemv",
-    "plan_gemm",
-    "plan_gemm_multi",
-    "plan_spmxv",
     "max_gemm_gang",
     "BlasCall",
     "BlasResult",

@@ -6,22 +6,23 @@ Each call simulates the corresponding FPGA design and returns a
 achievable clock, sustained MFLOPS, memory bandwidth and area),
 mirroring the rows of the paper's Tables 3 and 4.
 
-Both the executing calls and the non-executing ``plan_*`` predictors
-are thin wrappers over one :class:`BlasCall` descriptor, so geometry
-and validation cannot drift between the two paths:
+The executing calls are thin wrappers over one :class:`BlasCall`
+descriptor, which both executes and predicts, so geometry and
+validation cannot drift between the two paths:
 
 * ``BlasCall(...).execute()`` simulates the design and returns a
   :class:`BlasResult`.
 * ``BlasCall(...).plan()`` predicts the same call as an
   :class:`ExecutionPlan` — predicted cycles, clock and area — without
-  executing anything.  The runtime scheduler (:mod:`repro.runtime`)
-  uses plans to order and place jobs before committing a blade.
+  executing anything.  A plan-only call may give a ``shape`` instead
+  of operands.  The runtime scheduler (:mod:`repro.runtime`) uses
+  plans to order and place jobs before committing a blade.
 
 A gemm call with ``blades > 1`` targets the Section 5.2 multi-FPGA
 linear array (:mod:`repro.blas.multi_fpga`): ``l`` co-located FPGAs
 share one pass at effective latency n³/(k·l).  The runtime's gang
-scheduler plans these via :func:`plan_gemm_multi` and executes them
-via :func:`gemm_multi`.
+scheduler plans these as ``BlasCall("gemm", ..., blades=l).plan()``
+and executes them via :func:`gemm_multi`.
 """
 
 from __future__ import annotations
@@ -218,11 +219,14 @@ class BlasCall:
     boundary-crossing term, keeping plan == execute exact.
 
     ``sim_mode`` selects the execution substrate: ``"cycle"``
-    (default) steps the cycle-accurate designs; ``"fast"`` / ``"auto"``
-    use the proven-equivalent fast paths of :mod:`repro.sim.fast`
-    (byte-identical results, identical cycle counts) and fall back to
+    (default) steps the cycle-accurate designs; ``"fast"`` uses the
+    proven-equivalent fast paths of :mod:`repro.sim.fast`
+    (byte-identical results, identical cycle counts) and falls back to
     cycle stepping for anything without a proven fast path.  Planning
     is unaffected — plans never execute either way.
+
+    Design-rule checks live outside the call: ``repro analyze`` for
+    designs, :meth:`repro.blas.program.BlasProgram.check` for programs.
     """
 
     operation: str
@@ -341,32 +345,9 @@ class BlasCall:
         return inter_chassis_transfer_cycles(
             self.blades, self.fpgas_per_chassis, m, padded, self.k)
 
-    # -- static analysis -------------------------------------------------
-    def analyze(self, platform: str = "xd1"):
-        """Run the design-rule checker over this call without
-        executing it; returns an
-        :class:`repro.analyze.AnalysisReport` of every violated
-        hardware invariant (reduction-buffer bound, hazard conditions,
-        storage/bandwidth/area budgets, gang preconditions)."""
-        from repro.analyze import check_call
-
-        return check_call(self, platform)
-
     # -- planning --------------------------------------------------------
-    def plan(self, check: bool = False,
-             platform: str = "xd1") -> ExecutionPlan:
-        """Predict this call without executing it.
-
-        With ``check=True`` the design-rule checker runs first and a
-        :class:`repro.analyze.DesignRuleError` is raised when the
-        design violates a hardware invariant — fail fast, before any
-        queueing or simulation."""
-        if check:
-            from repro.analyze import DesignRuleError
-
-            report = self.analyze(platform)
-            if not report.ok:
-                raise DesignRuleError(report)
+    def plan(self) -> ExecutionPlan:
+        """Predict this call without executing it."""
         op = self.operation
         dims = self._dims()
         if op == "dot":
@@ -460,7 +441,7 @@ class BlasCall:
                 f"cannot execute a shape-only {self.operation} call")
         op = self.operation
         dims = self._dims()
-        use_fast = fastsim.resolve_sim_mode(self.sim_mode) == "fast"
+        use_fast = self.sim_mode == "fast"
         if op == "dot":
             u, v = self.operands
             design = DotProductDesign(k=self.k)
@@ -541,7 +522,7 @@ class BlasCall:
         # Useful flops only; cycles include any padding work, so the
         # efficiency of a badly-shaped problem honestly degrades.
         useful_flops = 2 * p * q * r
-        use_fast = fastsim.resolve_sim_mode(self.sim_mode) == "fast"
+        use_fast = self.sim_mode == "fast"
         crossing = 0
         if self.blades > 1:
             gang = self._gang_design(m, padded)
@@ -650,63 +631,6 @@ def spmxv(matrix, x: np.ndarray, k: int = 4,
     return BlasCall("spmxv", operands=(matrix, x), k=k,
                     clock_mhz=clock_mhz, on_xd1=on_xd1,
                     sim_mode=sim_mode).execute()
-
-
-# ----------------------------------------------------------------------
-# planning wrappers
-# ----------------------------------------------------------------------
-def plan_dot(n: int, k: int = 2, clock_mhz: Optional[float] = None,
-             on_xd1: bool = False) -> ExecutionPlan:
-    """Predict a :func:`dot` call: ⌈n/k⌉ input rows plus the pipeline
-    fill and the reduction flush."""
-    return BlasCall("dot", shape=(n,), k=k, clock_mhz=clock_mhz,
-                    on_xd1=on_xd1).plan()
-
-
-def plan_gemv(nrows: int, ncols: int, k: int = 4,
-              architecture: str = "tree",
-              clock_mhz: Optional[float] = None,
-              on_xd1: bool = False) -> ExecutionPlan:
-    """Predict a :func:`gemv` call on either MVM architecture."""
-    return BlasCall("gemv", shape=(nrows, ncols), k=k,
-                    architecture=architecture, clock_mhz=clock_mhz,
-                    on_xd1=on_xd1).plan()
-
-
-def plan_gemm(p: int, q: int, r: int, k: int = 8,
-              m: Optional[int] = None,
-              clock_mhz: Optional[float] = None,
-              on_xd1: bool = False) -> ExecutionPlan:
-    """Predict a :func:`gemm` call — exact, from the Level-3 closed-form
-    timing model (startup + nb³·m³/k compute + drain + C output)."""
-    return BlasCall("gemm", shape=(p, q, r), k=k, m=m,
-                    clock_mhz=clock_mhz, on_xd1=on_xd1).plan()
-
-
-def plan_gemm_multi(p: int, q: int, r: int, l: int, k: int = 8,
-                    m: Optional[int] = None,
-                    clock_mhz: Optional[float] = None,
-                    on_xd1: bool = False,
-                    fpgas_per_chassis: Optional[int] = None
-                    ) -> ExecutionPlan:
-    """Predict a :func:`gemm_multi` call — exact, from the Section 5.2
-    closed-form model: FPGA_0's ⌈bm/l⌉·bm² m-block MACs dominate, plus
-    the k·l array traversal, startup, drain and C output (and, when
-    ``l`` exceeds ``fpgas_per_chassis``, the RapidArray boundary
-    crossings, itemized as ``inter_chassis_cycles``).  The plan's
-    ``blades_required`` is ``l`` and its ``design_key`` names the
-    per-gang bitstream."""
-    return BlasCall("gemm", shape=(p, q, r), k=k, m=m, blades=l,
-                    clock_mhz=clock_mhz, on_xd1=on_xd1,
-                    fpgas_per_chassis=fpgas_per_chassis).plan()
-
-
-def plan_spmxv(matrix, k: int = 4, clock_mhz: Optional[float] = None,
-               on_xd1: bool = False) -> ExecutionPlan:
-    """Predict a :func:`spmxv` call from the matrix's row structure
-    (⌈nnz_i/k⌉ chunks per non-empty row plus pipeline fill)."""
-    return BlasCall("spmxv", operands=(matrix, None), k=k,
-                    clock_mhz=clock_mhz, on_xd1=on_xd1).plan()
 
 
 def gemm_fixed_overhead_cycles(k: int, m: int) -> int:

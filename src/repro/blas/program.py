@@ -257,14 +257,10 @@ class BlasProgram:
             raise DesignRuleError(report)
 
     # -- planning --------------------------------------------------------
-    def plan(self, check: bool = False) -> ProgramPlan:
+    def plan(self) -> ProgramPlan:
         """Predict one pass: per-node plans plus edge charges.  Inputs
         must be fed first (edge words come from actual value sizes, so
-        the prediction cannot drift from execution).  ``check=True``
-        verifies the graph first (PRG001-007) and raises
-        :class:`repro.analyze.drc.DesignRuleError` on violations."""
-        if check:
-            self.check()
+        the prediction cannot drift from execution)."""
         values: Dict[str, Any] = {}
         node_plans: Dict[str, api.ExecutionPlan] = {}
         kernel_cycles = flops = 0
@@ -315,12 +311,8 @@ class BlasProgram:
         return np.zeros((a[0], b[1]))
 
     # -- execution -------------------------------------------------------
-    def execute(self, sim_mode: Optional[str] = None,
-                check: bool = False) -> ProgramRun:
-        """Run every node in order, charging kernels and edges.
-        ``check=True`` verifies the graph first, as in :meth:`plan`."""
-        if check:
-            self.check()
+    def execute(self, sim_mode: Optional[str] = None) -> ProgramRun:
+        """Run every node in order, charging kernels and edges."""
         values: Dict[str, Any] = {}
         node_reports: Dict[str, api.PerfReport] = {}
         streamed_total = dram_total = 0

@@ -644,7 +644,7 @@ def _render_top(metrics: dict) -> str:
     jobs = metrics.get("jobs", {})
     lines.append(
         f"epochs {metrics.get('epochs', 0)}  "
-        f"pending {metrics.get('pending', 0)}  "
+        f"pending {jobs.get('pending', 0)}  "
         f"done {jobs.get('completed', 0)}  "
         f"failed {jobs.get('failed', 0)}  "
         f"rejected {jobs.get('rejected', 0)}  "
@@ -845,7 +845,7 @@ def _add_workload_options(parser: argparse.ArgumentParser,
                              "(blades per job; 1 disables gangs)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sim-mode",
-                        choices=("cycle", "fast", "auto"),
+                        choices=("cycle", "fast"),
                         default="cycle",
                         help="cycle = step every kernel cycle-accurately; "
                              "fast = analytic fast-forward / vectorized "
@@ -884,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _sim_mode_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--sim-mode",
-                       choices=("cycle", "fast", "auto"),
+                       choices=("cycle", "fast"),
                        default="cycle",
                        help="cycle-accurate stepping or the proven "
                             "fast path (docs/simulation.md)")
@@ -1112,10 +1112,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--flight-seed", type=int, default=0,
                        help="head-sampling hash seed")
     p_srv.add_argument("--sim-mode",
-                       choices=("cycle", "fast", "auto"),
-                       default="auto",
+                       choices=("cycle", "fast"),
+                       default="fast",
                        help="kernel simulation mode for the epoch "
-                            "runtimes (serve defaults to auto: replay "
+                            "runtimes (serve defaults to fast: replay "
                             "determinism holds in every mode)")
 
     p_lg = sub.add_parser(

@@ -14,9 +14,9 @@ per-cycle rows of :mod:`repro.sim.trace`:
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto
   or ``chrome://tracing``) and JSON-lines exporters.
 * :mod:`repro.obs.drift` — plan-vs-actual profiling: compares each
-  job's ``plan_*()`` predicted cycles against the executed cycle
-  count and flags kernels whose predictor drifts past its documented
-  bound (gemm exact; dot/gemv 5 %; spmxv 10 %).
+  job's ``BlasCall.plan()`` predicted cycles against the executed
+  cycle count and flags kernels whose predictor drifts past its
+  documented bound (gemm exact; dot/gemv 5 %; spmxv 10 %).
 * :mod:`repro.obs.bridge` — attaches :class:`repro.sim.trace.Tracer`
   kernel traces as child spans of the runtime job that launched them.
 * :mod:`repro.obs.metrics` — streaming O(1) telemetry: counters,

@@ -1,14 +1,14 @@
-"""Plan-vs-actual profiling: how good are the ``plan_*`` predictors?
+"""Plan-vs-actual profiling: how good are the ``BlasCall.plan``
+predictors?
 
 The scheduler orders and places jobs on the analytic cycle predictions
-of :mod:`repro.blas.api` (``plan_dot`` … ``plan_spmxv``); the executor
-then charges the cycle counts the cycle-accurate designs actually
-report.  This module compares the two per job and aggregates per
-operation, turning the documented predictor accuracy — gemm, dot and
-gemv *exact*, spmxv within 10 % — into a continuously checked
-invariant: any kernel whose relative error exceeds its threshold is
-*flagged*, and ``repro trace --strict`` (and the test suite) fail on
-flagged entries.
+of :meth:`repro.blas.api.BlasCall.plan`; the executor then charges the
+cycle counts the cycle-accurate designs actually report.  This module
+compares the two per job and aggregates per operation, turning the
+documented predictor accuracy — gemm, dot and gemv *exact*, spmxv
+within 10 % — into a continuously checked invariant: any kernel whose
+relative error exceeds its threshold is *flagged*, and ``repro trace
+--strict`` (and the test suite) fail on flagged entries.
 
 The comparison uses each job's *standalone* executed cycle count
 (``job.report.total_cycles``), not the charged cycles: batched gemm

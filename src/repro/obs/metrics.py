@@ -309,11 +309,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
         self._types: Dict[str, str] = {}
-        self._help: Dict[str, str] = {}
 
     def _get(self, kind: str, name: str,
-             labels: Optional[Mapping[str, str]],
-             help: str, factory: Any) -> Any:
+             labels: Optional[Mapping[str, str]], factory: Any) -> Any:
         if not name:
             raise ValueError("metric name must be non-empty")
         family_type = self._types.get(name)
@@ -327,23 +325,21 @@ class MetricsRegistry:
             metric = factory()
             self._metrics[ident] = metric
             self._types[name] = kind
-            if help:
-                self._help[name] = help
         return metric
 
-    def counter(self, name: str, *, help: str = "",
+    def counter(self, name: str, *,
                 labels: Optional[Mapping[str, str]] = None) -> Counter:
-        return self._get("counter", name, labels, help, Counter)
+        return self._get("counter", name, labels, Counter)
 
-    def gauge(self, name: str, *, help: str = "",
+    def gauge(self, name: str, *,
               labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        return self._get("gauge", name, labels, help, Gauge)
+        return self._get("gauge", name, labels, Gauge)
 
-    def histogram(self, name: str, *, help: str = "",
+    def histogram(self, name: str, *,
                   labels: Optional[Mapping[str, str]] = None,
                   boundaries: Optional[Sequence[float]] = None
                   ) -> Histogram:
-        return self._get("histogram", name, labels, help,
+        return self._get("histogram", name, labels,
                          lambda: Histogram(boundaries=boundaries))
 
     def __len__(self) -> int:

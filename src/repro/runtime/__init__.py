@@ -7,7 +7,7 @@ a stream of BLAS requests across that pool:
 * :mod:`repro.runtime.job` — the :class:`Job` lifecycle (queued →
   placed → running → done/failed) around a :class:`BlasRequest`.
 * :mod:`repro.runtime.scheduler` — pluggable placement policies: FIFO,
-  shortest-job-first on the :func:`repro.blas.api.plan_*` cycle
+  shortest-job-first on the :meth:`repro.blas.api.BlasCall.plan` cycle
   predictions, earliest-deadline-first, and area-aware bin-packing
   that co-resides small designs on one FPGA.
 * :mod:`repro.runtime.executor` — :class:`BlasRuntime`, a virtual-time
@@ -30,7 +30,7 @@ degradation), pass ``fault_plan=repro.faults.FaultPlan(...)`` — see
 """
 
 from repro.runtime.clock import HybridClock, VirtualClock, make_clock
-from repro.runtime.executor import BlasRuntime, DeviceSlot, QueueFullError
+from repro.runtime.executor import BlasRuntime, DeviceSlot
 from repro.runtime.job import (
     TERMINAL_STATES,
     BlasRequest,
@@ -39,11 +39,7 @@ from repro.runtime.job import (
     JobState,
     RejectReason,
 )
-from repro.runtime.metrics import (
-    DeviceMetrics,
-    RuntimeMetrics,
-    TenantMetrics,
-)
+from repro.runtime.metrics import DeviceMetrics, RuntimeMetrics
 from repro.runtime.scheduler import (
     POLICIES,
     AreaAwarePolicy,
@@ -64,10 +60,8 @@ __all__ = [
     "InvalidTransitionError",
     "BlasRuntime",
     "DeviceSlot",
-    "QueueFullError",
     "DeviceMetrics",
     "RuntimeMetrics",
-    "TenantMetrics",
     "VirtualClock",
     "HybridClock",
     "make_clock",

@@ -40,7 +40,7 @@ Cost model
   bit-for-bit identical to standalone calls because each job's
   numerics are still produced by its own ``repro.blas.api`` call.
 * **Backpressure.** Arrivals beyond ``queue_capacity`` pending jobs are
-  rejected (or raise :class:`QueueFullError` with ``strict_queue``).
+  rejected with :attr:`repro.runtime.job.RejectReason.QUEUE_FULL`.
 * **Gangs.** With ``max_gang > 1`` a large gemm plans onto the linear
   array: ``l`` co-located blades are acquired atomically (see
   :mod:`repro.runtime.scheduler`), each is busy for the
@@ -100,7 +100,7 @@ fault-plane instants (``fault.injected``, ``job.retry``,
 ``blade.quarantined``, ``job.degraded``), and queue-depth plus
 per-blade busy counter time-series.  Export with
 :mod:`repro.obs.export` (Chrome trace JSON, JSON lines) and audit the
-``plan_*`` predictors with :mod:`repro.obs.drift`.  The default
+``BlasCall.plan`` predictors with :mod:`repro.obs.drift`.  The default
 :data:`repro.obs.NULL_RECORDER` keeps every instrumentation site
 behind one ``enabled`` check, so disabled tracing allocates nothing.
 """
@@ -125,7 +125,7 @@ from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.runtime.clock import VirtualClock
 from repro.runtime.job import BlasRequest, Job, JobState, RejectReason
-from repro.runtime.metrics import DeviceMetrics, RuntimeMetrics, TenantMetrics
+from repro.runtime.metrics import DeviceMetrics, RuntimeMetrics
 from repro.runtime.scheduler import (
     Placement,
     SchedulingPolicy,
@@ -137,11 +137,6 @@ from repro.sim.engine import SimulationError
 #: Full configuration bitstream of the XC2VP50 (~19 Mbit).  Loading it
 #: through the RapidArray fabric is what a kernel switch costs.
 RECONFIG_BITSTREAM_BYTES = 2_377_741
-
-
-class QueueFullError(RuntimeError):
-    """Raised in ``strict_queue`` mode when an arrival overflows the
-    bounded pending queue."""
 
 
 class DeviceSlot:
@@ -215,7 +210,6 @@ class BlasRuntime:
                  batch_limit: int = 8,
                  reconfig_seconds: Optional[float] = None,
                  on_xd1: bool = True,
-                 strict_queue: bool = False,
                  recorder: Union[TraceRecorder, NullRecorder,
                                  None] = None,
                  fault_plan: Optional[FaultPlan] = None,
@@ -244,7 +238,6 @@ class BlasRuntime:
             raise ValueError("batch_limit must be >= 1")
         self.batch_limit = batch_limit
         self.on_xd1 = on_xd1
-        self.strict_queue = strict_queue
         #: Trace sink; the default NULL_RECORDER keeps every
         #: instrumentation site behind a single ``enabled`` check so
         #: disabled tracing adds no per-event allocation.
@@ -264,10 +257,13 @@ class BlasRuntime:
         self.degrade = degrade
         #: Execution substrate for every BLAS call this runtime makes
         #: (see :mod:`repro.sim.fast`): "cycle" steps the designs,
-        #: "fast"/"auto" use the proven-equivalent fast paths.  Charged
+        #: "fast" uses the proven-equivalent fast paths.  Charged
         #: cycles, results and metrics are identical either way — the
         #: differential harness enforces it — so only wall time changes.
-        fastsim.resolve_sim_mode(sim_mode)  # validate early
+        if sim_mode not in fastsim.SIM_MODES:
+            raise ValueError(
+                f"unknown sim mode {sim_mode!r}; expected one of "
+                f"{fastsim.SIM_MODES}")
         self.sim_mode = sim_mode
         self.fault_plan = fault_plan
         #: The fault hook; None on a fault-free run so every fault path
@@ -530,10 +526,6 @@ class BlasRuntime:
             job = arrivals.popleft()
             if (self.queue_capacity is not None
                     and len(self._pending) >= self.queue_capacity):
-                if self.strict_queue:
-                    raise QueueFullError(
-                        f"queue full ({self.queue_capacity} pending) at "
-                        f"t={self._now:.6f}s; job {job.job_id} rejected")
                 job.reject(self._now, RejectReason.QUEUE_FULL,
                            f"queue full ({self.queue_capacity} jobs "
                            "pending)")
@@ -1095,21 +1087,6 @@ class BlasRuntime:
                 device.health.downtime_seconds
             device.metrics.quarantined = device.health.quarantined
         injector = self._injector
-        tenants: Dict[str, TenantMetrics] = {}
-        for job in self._jobs:
-            name = job.request.tenant
-            if name is None:
-                continue
-            bucket = tenants.setdefault(name, TenantMetrics(name=name))
-            bucket.jobs_submitted += 1
-            if job.state is JobState.DONE:
-                bucket.jobs_completed += 1
-                bucket.wait_seconds.append(job.waiting_seconds)
-                bucket.latency_seconds.append(job.latency_seconds)
-            elif job.state is JobState.FAILED:
-                bucket.jobs_failed += 1
-            elif job.state is JobState.REJECTED:
-                bucket.jobs_rejected += 1
         return RuntimeMetrics(
             policy=self.policy.name,
             device_count=len(self.devices),
@@ -1150,7 +1127,6 @@ class BlasRuntime:
             work_steals=self._work_steals,
             blades_per_job=blades_per_job,
             devices=[d.metrics for d in self.devices],
-            tenants=tenants,
         )
 
     @property

@@ -86,10 +86,6 @@ class BlasRequest:
     #: job's multi-FPGA array (``None`` defers to the runtime's
     #: ``max_gang``; only gemm can gang).
     max_blades: Optional[int] = None
-    #: Owning tenant of a multi-tenant (``repro.serve``) submission;
-    #: ``None`` for direct runtime use.  When set, the run's metrics
-    #: grow a per-tenant accounting block.
-    tenant: Optional[str] = None
     #: Preferred chassis (affinity hint).  A job with a home chassis
     #: waits for a blade there while any is free; when the home
     #: chassis is saturated and another chassis's queue has drained,

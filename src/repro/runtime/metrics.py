@@ -89,52 +89,6 @@ class DeviceMetrics:
 
 
 @dataclass
-class TenantMetrics:
-    """What one tenant's traffic experienced over the run.
-
-    Populated by the executor for any job whose request carries a
-    ``tenant`` tag.
-    """
-
-    name: str
-    jobs_submitted: int = 0
-    jobs_completed: int = 0
-    jobs_failed: int = 0
-    jobs_rejected: int = 0
-    #: Admission throttles happen before a job exists, so a runtime
-    #: report always carries 0 here.
-    quota_throttles: int = 0
-    wait_seconds: List[float] = field(default_factory=list)
-    latency_seconds: List[float] = field(default_factory=list)
-
-    def wait_percentile(self, pct: float) -> float:
-        return percentile(self.wait_seconds, pct)
-
-    def latency_percentile(self, pct: float) -> float:
-        return percentile(self.latency_seconds, pct)
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "jobs": {
-                "submitted": self.jobs_submitted,
-                "completed": self.jobs_completed,
-                "failed": self.jobs_failed,
-                "rejected": self.jobs_rejected,
-                "quota_throttles": self.quota_throttles,
-            },
-            "wait_seconds": {
-                "p50": self.wait_percentile(50),
-                "p99": self.wait_percentile(99),
-            },
-            "latency_seconds": {
-                "p50": self.latency_percentile(50),
-                "p99": self.latency_percentile(99),
-            },
-        }
-
-
-@dataclass
 class RuntimeMetrics:
     """Aggregate view of one runtime execution."""
 
@@ -175,9 +129,6 @@ class RuntimeMetrics:
     #: Completed jobs per actual gang width: {"1": …, "4": …}.
     blades_per_job: Dict[str, int] = field(default_factory=dict)
     devices: List[DeviceMetrics] = field(default_factory=list)
-    #: Per-tenant accounting, keyed by tenant name — empty (and absent
-    #: from ``to_dict``/``summary``) unless requests carried tenants.
-    tenants: Dict[str, TenantMetrics] = field(default_factory=dict)
 
     # -- derived ---------------------------------------------------------
     @property
@@ -256,9 +207,6 @@ class RuntimeMetrics:
             "mean_utilization": self.mean_utilization,
             "devices": [d.to_dict(self.makespan_seconds)
                         for d in self.devices],
-            **({"tenants": {name: self.tenants[name].to_dict()
-                            for name in sorted(self.tenants)}}
-               if self.tenants else {}),
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -308,18 +256,6 @@ class RuntimeMetrics:
             lines.append(gang_line)
         if self.work_steals:
             lines.append(f"work steals {self.work_steals}")
-        if self.tenants:
-            lines.append(
-                f"{'tenant':<16} {'subm':>5} {'done':>5} {'rej':>4} "
-                f"{'throttled':>9} {'lat p50 ms':>11} {'lat p99 ms':>11}")
-            for name in sorted(self.tenants):
-                t = self.tenants[name]
-                lines.append(
-                    f"{name:<16} {t.jobs_submitted:>5} "
-                    f"{t.jobs_completed:>5} {t.jobs_rejected:>4} "
-                    f"{t.quota_throttles:>9} "
-                    f"{t.latency_percentile(50) * 1e3:>11.3f} "
-                    f"{t.latency_percentile(99) * 1e3:>11.3f}")
         lines.append(
             f"{'blade':<24} {'jobs':>5} {'util %':>7} {'busy ms':>9} "
             f"{'reconf':>6} {'reconf ms':>10}")

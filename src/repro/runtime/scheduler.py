@@ -84,19 +84,10 @@ class Placement:
     reason: str = "first-feasible"
 
 
-def plan_gang_width(plan: object) -> int:
-    """Blades a plan wants (1 for every single-device plan).
-
-    Shared with the static design-rule checker
-    (:mod:`repro.analyze.drc`), so the DRC and the scheduler agree on
-    what counts as a gang."""
-    width = getattr(plan, "blades_required", 1)
-    return width if width and width > 1 else 1
-
-
 def gang_width(job: Job) -> int:
     """Blades the job's plan wants (1 for every single-device plan)."""
-    return plan_gang_width(job.plan)
+    width = getattr(job.plan, "blades_required", 1)
+    return width if width and width > 1 else 1
 
 
 def feasible_gang_width(target: int,
@@ -280,7 +271,7 @@ class FifoPolicy(SchedulingPolicy):
 
 
 class ShortestJobFirstPolicy(SchedulingPolicy):
-    """Cheapest predicted job first, using the ``plan_*`` cycle
+    """Cheapest predicted job first, using the ``BlasCall.plan`` cycle
     predictions — minimizes mean waiting time on bursty queues."""
 
     name = "sjf"

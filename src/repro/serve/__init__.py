@@ -8,14 +8,13 @@ JSON-over-TCP front-end (:mod:`repro.serve.protocol`,
 :mod:`repro.serve.server`) with per-tenant admission control and
 weighted fair-share ordering (:mod:`repro.serve.tenant`), same-shape
 gemm coalescing feeding the executor's batching
-(:mod:`repro.serve.coalescer`), pluggable virtual/hybrid clocks
-(:mod:`repro.serve.clock`), and a seeded multi-tenant load generator
+(:mod:`repro.serve.coalescer`), the runtime's virtual/hybrid clocks
+(:mod:`repro.runtime.clock`), and a seeded multi-tenant load generator
 (:mod:`repro.serve.loadgen`).  In virtual-clock mode the whole stack
 stays deterministic: same seed in, byte-identical metrics and traces
 out.
 """
 
-from repro.serve.clock import HybridClock, VirtualClock, make_clock
 from repro.serve.coalescer import CoalesceStats, coalesce, gemm_shape_key
 from repro.serve.protocol import (PROTOCOL_VERSION, REJECT_INVALID,
                                   REJECT_PENDING, REJECT_QUOTA,
@@ -30,7 +29,6 @@ __all__ = [
     "BlasServer",
     "BlasService",
     "CoalesceStats",
-    "HybridClock",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "REJECT_INVALID",
@@ -39,10 +37,8 @@ __all__ = [
     "ServeConfig",
     "TenantQuota",
     "TokenBucket",
-    "VirtualClock",
     "coalesce",
     "gemm_shape_key",
-    "make_clock",
     "materialize",
     "result_digest",
     "run_server",

@@ -13,9 +13,11 @@ Requests
 ``{"op": "submit", "id": N, "tenant": NAME, "at": T, "call": SPEC}``
     Submit one BLAS call arriving at virtual time ``T``.  ``call``
     reuses the ``repro analyze`` spec schema (``operation``, ``n``,
-    ``k``, ``architecture``, ``m``, ``blades``, ``clock_mhz``) plus
-    serve-only ``seed`` (operands are synthesized server-side from it)
-    and ``priority``.  ``tenant`` may be omitted after a ``hello``.
+    ``k``, ``architecture``, ``m``, ``blades``) plus serve-only
+    ``seed`` (operands are synthesized server-side from it) and
+    ``priority``.  Every design runs at its own achievable clock, so
+    ``clock_mhz`` is not a call field.  ``tenant`` may be omitted
+    after a ``hello``.
 ``{"op": "drain"}``
     Execute everything admitted since the last drain as one epoch and
     return per-request results.
@@ -55,9 +57,8 @@ PROTOCOL_VERSION = 1
 #: parallelism; ``m``/``blades``/``architecture`` do not apply.
 OPERATIONS = ("dot", "gemv", "gemm", "spmxv", "cg")
 
-#: The ``repro analyze`` design-spec schema fields...
-_ANALYZE_FIELDS = ("operation", "n", "k", "architecture", "m",
-                   "blades", "clock_mhz")
+#: The ``repro analyze`` design-spec fields serve accepts...
+_ANALYZE_FIELDS = ("operation", "n", "k", "architecture", "m", "blades")
 #: ...plus the serve-only additions.
 CALL_FIELDS = frozenset(_ANALYZE_FIELDS) | {"seed", "priority"}
 
@@ -138,12 +139,6 @@ def validate_call(spec: Any) -> Dict[str, Any]:
             raise ProtocolError(
                 "architecture must be 'tree' or 'column'")
         out["architecture"] = architecture
-    clock_mhz = spec.get("clock_mhz")
-    if clock_mhz is not None:
-        if not isinstance(clock_mhz, (int, float)) \
-                or isinstance(clock_mhz, bool) or clock_mhz <= 0:
-            raise ProtocolError("clock_mhz must be a positive number")
-        out["clock_mhz"] = float(clock_mhz)
     seed = spec.get("seed")
     if seed is not None:
         if not isinstance(seed, int) or isinstance(seed, bool) \

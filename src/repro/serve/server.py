@@ -66,7 +66,7 @@ from repro.serve import protocol
 from repro.serve.coalescer import CoalesceStats, coalesce
 from repro.serve.tenant import (AdmissionController, TenantQuota,
                                 weighted_deficit_order)
-from repro.sim.fast import resolve_sim_mode
+from repro.sim.fast import SIM_MODES
 from repro.workloads import poisson_2d
 
 #: Stream buffer limit for the TCP layer: a drain response carries one
@@ -104,11 +104,11 @@ class ServeConfig:
     flight_tail_latency: Optional[float] = None
     flight_seed: int = 0
     #: Execution substrate for every epoch runtime (``--sim-mode``).
-    #: Serve defaults to ``auto`` — throughput is this layer's whole
+    #: Serve defaults to ``fast`` — throughput is this layer's whole
     #: point and the fast paths are proven byte-identical, so replay
     #: determinism ("same seed in, byte-identical results out") holds
     #: in every mode.
-    sim_mode: str = "auto"
+    sim_mode: str = "fast"
 
     def __post_init__(self) -> None:
         if self.coalesce_window < 0.0:
@@ -116,7 +116,10 @@ class ServeConfig:
         if self.clock_mode not in ("virtual", "hybrid"):
             raise ValueError(
                 "clock_mode must be 'virtual' or 'hybrid'")
-        resolve_sim_mode(self.sim_mode)  # validate
+        if self.sim_mode not in SIM_MODES:
+            raise ValueError(
+                f"unknown sim mode {self.sim_mode!r}; expected one of "
+                f"{SIM_MODES}")
 
 
 @dataclass
@@ -130,8 +133,7 @@ class AdmittedCall:
     spec: Dict[str, Any]
 
 
-def materialize(spec: Mapping[str, Any],
-                tenant: Optional[str] = None) -> BlasRequest:
+def materialize(spec: Mapping[str, Any]) -> BlasRequest:
     """Build the executable request a call spec describes.
 
     Operands are synthesized from ``spec["seed"]`` with a dedicated
@@ -155,7 +157,7 @@ def materialize(spec: Mapping[str, Any],
         program.feed(p=rng.standard_normal(matrix.ncols))
         return BlasRequest(
             "program", (program, None), k=k,
-            priority=spec.get("priority", 0), tenant=tenant)
+            priority=spec.get("priority", 0))
     if operation == "dot":
         operands: Tuple[Any, Any] = (rng.standard_normal(n),
                                      rng.standard_normal(n))
@@ -171,8 +173,7 @@ def materialize(spec: Mapping[str, Any],
         operation, operands, k=k, m=spec.get("m"),
         architecture=spec.get("architecture", "tree"),
         priority=spec.get("priority", 0),
-        max_blades=spec.get("blades"),
-        tenant=tenant)
+        max_blades=spec.get("blades"))
 
 
 def result_digest(value: Any) -> str:
@@ -214,47 +215,24 @@ class BlasService:
                        flight=self.flight)
             if config.slo is not None else None)
         registry = self.registry
-        self._c_submitted = registry.counter(
-            "serve.submitted", help="submissions received")
-        self._c_admitted = registry.counter(
-            "serve.admitted", help="submissions admitted")
-        self._c_epochs = registry.counter(
-            "serve.epochs", help="drain epochs executed")
-        self._g_pending = registry.gauge(
-            "serve.pending", help="admitted calls awaiting drain")
-        self._h_wait = registry.histogram(
-            "serve.wait_seconds",
-            help="virtual seconds from release to dispatch")
-        self._h_latency = registry.histogram(
-            "serve.latency_seconds",
-            help="virtual seconds from release to completion")
-        self._c_coalesce_groups = registry.counter(
-            "serve.coalesce.groups", help="coalescing groups formed")
-        self._c_coalesce_requests = registry.counter(
-            "serve.coalesce.requests",
-            help="requests whose release was coalesced")
-        self._g_coalesce_max_group = registry.gauge(
-            "serve.coalesce.max_group",
-            help="largest coalescing group formed")
-        self._c_jobs_completed = registry.counter(
-            "runtime.jobs.completed", help="executor jobs done")
-        self._c_jobs_failed = registry.counter(
-            "runtime.jobs.failed", help="executor jobs failed")
-        self._c_jobs_rejected = registry.counter(
-            "runtime.jobs.rejected", help="executor jobs rejected")
-        self._c_batches = registry.counter(
-            "runtime.batches", help="executor batches dispatched")
-        self._c_reconfigs = registry.counter(
-            "runtime.reconfigurations",
-            help="bitstream loads across all blades")
-        self._c_retries = registry.counter(
-            "runtime.retries", help="fault-plane retries")
-        self._c_faults = registry.counter(
-            "runtime.faults", help="faults injected")
-        self._c_gangs = registry.counter(
-            "runtime.gangs", help="multi-blade gangs formed")
-        self._c_flops = registry.counter(
-            "runtime.flops", help="useful flops of completed jobs")
+        self._c_submitted = registry.counter("serve.submitted")
+        self._c_admitted = registry.counter("serve.admitted")
+        self._c_epochs = registry.counter("serve.epochs")
+        self._g_pending = registry.gauge("serve.pending")
+        self._h_wait = registry.histogram("serve.wait_seconds")
+        self._h_latency = registry.histogram("serve.latency_seconds")
+        self._c_coalesce_groups = registry.counter("serve.coalesce.groups")
+        self._c_coalesce_requests = registry.counter("serve.coalesce.requests")
+        self._g_coalesce_max_group = registry.gauge("serve.coalesce.max_group")
+        self._c_jobs_completed = registry.counter("runtime.jobs.completed")
+        self._c_jobs_failed = registry.counter("runtime.jobs.failed")
+        self._c_jobs_rejected = registry.counter("runtime.jobs.rejected")
+        self._c_batches = registry.counter("runtime.batches")
+        self._c_reconfigs = registry.counter("runtime.reconfigurations")
+        self._c_retries = registry.counter("runtime.retries")
+        self._c_faults = registry.counter("runtime.faults")
+        self._c_gangs = registry.counter("runtime.gangs")
+        self._c_flops = registry.counter("runtime.flops")
 
     # -- message dispatch ------------------------------------------------
     def handle(self, message: Mapping[str, Any]) -> Dict[str, Any]:
@@ -389,7 +367,7 @@ class BlasService:
         release, stats = coalesce(
             [(c.at, c.spec) for c in calls],
             self.config.coalesce_window)
-        requests = [materialize(c.spec, tenant=c.tenant) for c in calls]
+        requests = [materialize(c.spec) for c in calls]
         runtime = BlasRuntime(
             chassis=self.config.chassis,
             blades=self.config.blades,

@@ -62,19 +62,8 @@ from repro.sim.engine import SimulationError
 #: Valid values of every ``sim_mode=`` knob (BlasCall, BlasRuntime,
 #: ServeConfig, ``--sim-mode``).  ``cycle`` always steps the designs;
 #: ``fast`` uses the proven-equivalent paths wherever one exists and
-#: falls back to cycle stepping otherwise; ``auto`` lets the library
-#: choose (today: identical to ``fast``, kept distinct so callers can
-#: express intent and future heuristics can diverge).
-SIM_MODES = ("cycle", "fast", "auto")
-
-
-def resolve_sim_mode(mode: str) -> str:
-    """Validate a sim-mode knob and collapse ``auto`` to a concrete
-    mode."""
-    if mode not in SIM_MODES:
-        raise ValueError(
-            f"unknown sim mode {mode!r}; expected one of {SIM_MODES}")
-    return "fast" if mode == "auto" else mode
+#: falls back to cycle stepping otherwise.
+SIM_MODES = ("cycle", "fast")
 
 
 # ----------------------------------------------------------------------

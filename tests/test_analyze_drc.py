@@ -10,17 +10,14 @@ from repro.analyze import (
     DRC_RULES,
     AnalysisReport,
     Baseline,
-    DesignRuleError,
     DesignUnderCheck,
     Severity,
     XD1_PLATFORM,
     check_design,
-    check_plan,
     check_specs,
     get_platform,
     shipped_designs,
 )
-from repro.blas.api import BlasCall
 
 
 def rules_fired(report, severity=None):
@@ -292,26 +289,6 @@ class TestEntryPoints:
         for design in shipped_designs():
             report = check_design(design, XD1_PLATFORM)
             assert report.ok, report.summary()
-
-    def test_check_call_matches_check_design(self):
-        call = BlasCall("gemm", shape=(96, 96, 96), k=8, m=12)
-        report = call.analyze()
-        assert "DRC003" in rules_fired(report, Severity.ERROR)
-
-    def test_plan_check_raises_design_rule_error(self):
-        call = BlasCall("gemv", shape=(48, 48), k=4,
-                        architecture="column")
-        with pytest.raises(DesignRuleError) as excinfo:
-            call.plan(check=True)
-        assert "DRC002" in str(excinfo.value)
-        assert not excinfo.value.report.ok
-
-    def test_plan_check_passes_clean_design(self):
-        # m = 16 keeps the standalone accumulation hazard clear
-        # (m²/k = 32 > α = 14).
-        plan = BlasCall("gemm", shape=(512, 512, 512),
-                        k=8, m=16).plan(check=True)
-        assert check_plan(plan).ok
 
     def test_spec_round_trip(self):
         report = check_specs([

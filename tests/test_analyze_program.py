@@ -425,7 +425,7 @@ class TestGoldenReport:
 
 
 class TestPlanExecuteWiring:
-    def test_plan_check_true_raises_on_bad_program(self, rng):
+    def test_check_raises_on_bad_program(self, rng):
         program = BlasProgram(name="bad")
         program.add_input("x")
         program.feed(x=rng.standard_normal(32))
@@ -433,22 +433,16 @@ class TestPlanExecuteWiring:
             "y", "gemv", (np.ones((16, 64)), Ref("x", streamed=False)),
             k=4)
         with pytest.raises(DesignRuleError, match="PRG001"):
-            program.plan(check=True)
-        with pytest.raises(DesignRuleError, match="PRG001"):
-            program.execute(check=True)
+            program.check()
 
-    def test_check_true_passes_clean_program(self):
+    def test_check_passes_clean_program(self):
         program = fed_cg(grid=8)
-        plan = program.plan(check=True)
-        run = program.execute(check=True)
-        # The PR 9 edge-charge parity invariant survives the check
-        # wiring, and check=True changes nothing about the outcome.
+        program.check()
+        # Edge-charge parity holds on the checked program.
+        plan = program.plan()
+        run = program.execute()
         assert plan.streamed_edge_cycles == run.streamed_edge_cycles
         assert plan.dram_edge_cycles == run.dram_edge_cycles
-        assert plan.predicted_cycles == \
-            program.plan(check=False).predicted_cycles
-        assert run.report.total_cycles == \
-            program.execute(check=False).report.total_cycles
 
     def test_runtime_rejects_invalid_program_pre_queue(self, rng):
         program = BlasProgram(name="bad")

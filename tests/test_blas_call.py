@@ -24,9 +24,6 @@ from repro.blas.api import (
     gemm_multi,
     gemv,
     max_gemm_gang,
-    plan_gemm,
-    plan_gemm_multi,
-    plan_spmxv,
     spmxv,
 )
 from repro.workloads import poisson_2d
@@ -131,16 +128,19 @@ class TestBlasResult:
 
 class TestDesignKey:
     def test_single_blade_keys(self, rng):
-        assert (plan_gemm(64, 64, 64, k=8).design_key
+        assert (BlasCall("gemm", shape=(64, 64, 64), k=8).plan().design_key
                 == "matrix_multiply(k=8,m=64)")
         matrix = poisson_2d(8)
-        assert plan_spmxv(matrix, k=4).design_key == "spmxv(k=4)"
+        assert (BlasCall("spmxv", operands=(matrix, None), k=4)
+                .plan().design_key == "spmxv(k=4)")
 
     def test_gang_key_names_width(self):
-        plan = plan_gemm_multi(256, 256, 256, l=2, k=8)
+        plan = BlasCall("gemm", shape=(256, 256, 256), k=8,
+                        blades=2).plan()
         assert plan.blades_required == 2
         assert plan.design_key == "multi_fpga_mm(k=8,m=128,l=2)"
-        wider = plan_gemm_multi(256, 256, 256, l=2, k=8, m=64)
+        wider = BlasCall("gemm", shape=(256, 256, 256), k=8, m=64,
+                         blades=2).plan()
         assert wider.design_key != plan.design_key
 
 
@@ -149,14 +149,14 @@ class TestMultiFpgaGemm:
     def test_plan_exact_and_numerics(self, rng, n, l):
         A = rng.standard_normal((n, n))
         B = rng.standard_normal((n, n))
-        plan = plan_gemm_multi(n, n, n, l=l)
+        plan = BlasCall("gemm", shape=(n, n, n), blades=l).plan()
         result = gemm_multi(A, B, l=l)
         assert plan.predicted_cycles == result.report.total_cycles
         assert np.allclose(result.value, A @ B)
 
     def test_gang_beats_single_blade(self, rng):
-        single = plan_gemm(512, 512, 512)
-        gang = plan_gemm_multi(512, 512, 512, l=4)
+        single = BlasCall("gemm", shape=(512, 512, 512)).plan()
+        gang = BlasCall("gemm", shape=(512, 512, 512), blades=4).plan()
         assert gang.predicted_cycles < single.predicted_cycles / 3
 
     def test_max_gemm_gang_is_block_count(self):

@@ -1,4 +1,4 @@
-"""Tests for the non-executing planning path (`repro.blas.api.plan_*`).
+"""Tests for the non-executing planning path (`BlasCall(...).plan()`).
 
 The plans drive scheduling, so what matters is (a) gemm predictions
 are *exact* (the Level-3 timing model is closed-form), (b) streaming
@@ -9,16 +9,7 @@ executing path on design geometry and failure modes.
 import numpy as np
 import pytest
 
-from repro.blas import (
-    dot,
-    gemm,
-    gemv,
-    plan_dot,
-    plan_gemm,
-    plan_gemv,
-    plan_spmxv,
-    spmxv,
-)
+from repro.blas import BlasCall, dot, gemm, gemv, spmxv
 from repro.blas.level3 import MmHazardError
 from repro.workloads import poisson_2d
 
@@ -37,20 +28,20 @@ class TestPlanDot:
                                      (100, 1), (2048, 2), (1000, 4),
                                      (4096, 8)])
     def test_prediction_exact(self, rng, n, k):
-        plan = plan_dot(n, k=k)
+        plan = BlasCall("dot", shape=(n,), k=k).plan()
         report = dot(rng.standard_normal(n), rng.standard_normal(n),
                      k=k).report
         assert plan.predicted_cycles == report.total_cycles
 
     def test_flops_and_area(self):
-        plan = plan_dot(512, k=2)
+        plan = BlasCall("dot", shape=(512,), k=2).plan()
         assert plan.flops == 1024
         assert plan.area.slices > 0
         assert plan.predicted_seconds > 0
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            plan_dot(0)
+            BlasCall("dot", shape=(0,)).plan()
 
 
 class TestPlanGemv:
@@ -62,14 +53,15 @@ class TestPlanGemv:
                                           (200, 8, "tree"),
                                           (512, 4, "column")])
     def test_prediction_exact(self, rng, n, k, arch):
-        plan = plan_gemv(n, n, k=k, architecture=arch)
+        plan = BlasCall("gemv", shape=(n, n), k=k,
+                        architecture=arch).plan()
         report = gemv(rng.standard_normal((n, n)),
                       rng.standard_normal(n), k=k,
                       architecture=arch).report
         assert plan.predicted_cycles == report.total_cycles
 
     def test_rectangular(self, rng):
-        plan = plan_gemv(96, 32, k=4)
+        plan = BlasCall("gemv", shape=(96, 32), k=4).plan()
         report = gemv(rng.standard_normal((96, 32)),
                       rng.standard_normal(32), k=4).report
         assert plan.predicted_cycles == report.total_cycles
@@ -77,35 +69,35 @@ class TestPlanGemv:
 
     def test_unknown_architecture(self):
         with pytest.raises(ValueError):
-            plan_gemv(8, 8, architecture="systolic")
+            BlasCall("gemv", shape=(8, 8), architecture="systolic").plan()
 
 
 class TestPlanGemm:
     @pytest.mark.parametrize("n,k,m", [(32, 4, 16), (64, 8, None),
                                        (96, 8, None), (48, 4, None)])
     def test_prediction_exact(self, rng, n, k, m):
-        plan = plan_gemm(n, n, n, k=k, m=m)
+        plan = BlasCall("gemm", shape=(n, n, n), k=k, m=m).plan()
         report = gemm(rng.standard_normal((n, n)),
                       rng.standard_normal((n, n)), k=k, m=m).report
         assert plan.predicted_cycles == report.total_cycles
 
     def test_rectangular_exact(self, rng):
-        plan = plan_gemm(24, 40, 56, k=4)
+        plan = BlasCall("gemm", shape=(24, 40, 56), k=4).plan()
         report = gemm(rng.standard_normal((24, 40)),
                       rng.standard_normal((40, 56)), k=4).report
         assert plan.predicted_cycles == report.total_cycles
         assert plan.flops == 2 * 24 * 40 * 56
 
     def test_design_key_distinguishes_block_size(self):
-        small = plan_gemm(16, 16, 16, k=8)
-        large = plan_gemm(128, 128, 128, k=8)
+        small = BlasCall("gemm", shape=(16, 16, 16), k=8).plan()
+        large = BlasCall("gemm", shape=(128, 128, 128), k=8).plan()
         assert small.design_key != large.design_key
 
     def test_same_failures_as_execution(self):
         # k = m = 8 violates the hazard-free accumulation condition in
         # both the planning and the executing path.
         with pytest.raises(MmHazardError):
-            plan_gemm(8, 8, 8, k=8, m=8)
+            BlasCall("gemm", shape=(8, 8, 8), k=8, m=8).plan()
 
 
 class TestPlanSpmxv:
@@ -124,7 +116,7 @@ class TestPlanSpmxv:
                      if o.operation == "spmxv")
         matrix = poisson_2d(16)
         x = rng.standard_normal(matrix.ncols)
-        plan = plan_spmxv(matrix, k=4)
+        plan = BlasCall("spmxv", operands=(matrix, None), k=4).plan()
         report = spmxv(matrix, x, k=4).report
         assert plan.predicted_cycles == pytest.approx(
             report.total_cycles, rel=bound)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.blas.api import dot, plan_dot, plan_gemv
+from repro.blas.api import BlasCall, dot
 from repro.blas.program import (
     BlasProgram,
     DRAM_EDGE_WORDS_PER_CYCLE,
@@ -124,8 +124,8 @@ class TestPlanExecuteParity:
         plan = program.plan()
         n = len(x)
         assert plan.kernel_cycles == (
-            plan_gemv(n, n, k=4).predicted_cycles
-            + plan_dot(n, k=2).predicted_cycles)
+            BlasCall("gemv", shape=(n, n), k=4).plan().predicted_cycles
+            + BlasCall("dot", shape=(n,), k=2).plan().predicted_cycles)
         assert set(plan.node_plans) == {"Ax", "xAx"}
 
     def test_edge_totals_split_by_class(self, rng):

@@ -446,6 +446,19 @@ class TestTopAndObservabilityFlags:
         assert args.slo_spec is None
         assert args.flight_capacity == 256
         assert args.flight_sample == pytest.approx(0.01)
+        assert args.sim_mode == "fast"
+
+    def test_top_renders_the_pending_count(self):
+        from repro.cli import _render_top
+        from repro.serve.server import BlasService
+
+        service = BlasService()
+        for i in range(3):
+            service.handle({"op": "submit", "id": i, "tenant": "astro",
+                            "at": 0.0,
+                            "call": {"operation": "dot", "n": 64}})
+        status = _render_top(service.metrics()).splitlines()[0]
+        assert "pending 3" in status
 
     def test_top_views_against_live_serve(self, capsys, tmp_path):
         import json

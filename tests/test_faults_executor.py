@@ -324,8 +324,8 @@ class TestDegradation:
 
     def test_capacity_loss_degrades_k_instead_of_rejecting(self):
         n = 16
-        wide = api.plan_gemm(n, n, n, k=8)
-        narrow = api.plan_gemm(n, n, n, k=2)
+        wide = api.BlasCall("gemm", shape=(n, n, n), k=8).plan()
+        narrow = api.BlasCall("gemm", shape=(n, n, n), k=2).plan()
         assert narrow.area.slices < wide.area.slices
         chassis = self._hetero_chassis(wide.area.slices,
                                        narrow.area.slices)
@@ -346,8 +346,8 @@ class TestDegradation:
 
     def test_degradation_can_be_disabled(self):
         n = 16
-        wide = api.plan_gemm(n, n, n, k=8)
-        narrow = api.plan_gemm(n, n, n, k=2)
+        wide = api.BlasCall("gemm", shape=(n, n, n), k=8).plan()
+        narrow = api.BlasCall("gemm", shape=(n, n, n), k=2).plan()
         chassis = self._hetero_chassis(wide.area.slices,
                                        narrow.area.slices)
         plan = FaultPlan(events=(FaultEvent(

@@ -11,7 +11,7 @@ guarantees (same seed → byte-identical metrics and traces).
 import numpy as np
 import pytest
 
-from repro.blas.api import plan_gemm_multi
+from repro.blas.api import BlasCall
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.obs import TraceRecorder, chrome_trace_json
 from repro.runtime import TERMINAL_STATES, BlasRuntime, JobState
@@ -116,7 +116,8 @@ class TestNoStarvation:
         request = BlasRequest("gemm",
                               (np.zeros((n, n)), np.zeros((n, n))))
         return Job(job_id=job_id, request=request,
-                   plan=plan_gemm_multi(n, n, n, l=l))
+                   plan=BlasCall("gemm", shape=(n, n, n),
+                                 blades=l).plan())
 
     def test_waiting_gang_reserves_anchor_chassis(self, rng):
         runtime = BlasRuntime(chassis=1, blades=4)

@@ -10,7 +10,7 @@ a whole :class:`repro.blas.program.BlasProgram` schedules as one job.
 import numpy as np
 import pytest
 
-from repro.blas.api import plan_gemm_multi
+from repro.blas.api import BlasCall
 from repro.runtime import BlasRequest, BlasRuntime, JobState
 from repro.solvers.cg import cg_iteration_program
 from repro.workloads import cg_program_stream, poisson_2d
@@ -71,8 +71,8 @@ class TestMultiChassisGangs:
         assert job.state is JobState.DONE
         assert job.gang_size == 72
         assert metrics.gangs_multichassis == 1
-        plan = plan_gemm_multi(4096, 4096, 4096, l=72, k=8, m=32,
-                               fpgas_per_chassis=6)
+        plan = BlasCall("gemm", shape=(4096, 4096, 4096), k=8, m=32,
+                        blades=72, fpgas_per_chassis=6).plan()
         assert job.charged_cycles == plan.predicted_cycles
         assert metrics.inter_chassis_cycles == \
             plan.inter_chassis_cycles

@@ -8,7 +8,6 @@ import pytest
 from repro.runtime import (
     BlasRuntime,
     JobState,
-    QueueFullError,
     make_policy,
 )
 from repro.runtime.job import BlasRequest
@@ -88,14 +87,6 @@ class TestBackpressure:
         metrics = runtime.run()
         assert metrics.jobs_rejected == 0
         assert metrics.jobs_completed == 4
-
-    def test_strict_queue_raises(self, rng):
-        runtime = BlasRuntime(chassis=1, blades=1, queue_capacity=1,
-                              strict_queue=True)
-        for _ in range(3):
-            runtime.submit(_dot_request(rng))
-        with pytest.raises(QueueFullError):
-            runtime.run()
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

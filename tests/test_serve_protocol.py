@@ -38,15 +38,18 @@ class TestValidateCall:
     def test_full_spec_normalized(self):
         spec = protocol.validate_call({
             "operation": "gemm", "n": 32, "k": 8, "m": 16,
-            "blades": 2, "architecture": "tree", "clock_mhz": 140,
-            "seed": 5, "priority": 1})
-        assert spec["clock_mhz"] == 140.0
+            "blades": 2, "architecture": "tree", "seed": 5,
+            "priority": 1})
         assert spec["blades"] == 2
+        assert spec["seed"] == 5
 
     def test_rejects_unknown_fields(self):
-        with pytest.raises(protocol.ProtocolError, match="unknown"):
-            protocol.validate_call(
-                {"operation": "dot", "n": 8, "matrix": [[1]]})
+        # clock_mhz is unknown too: every design runs at its own clock.
+        for field, value in (("matrix", [[1]]), ("clock_mhz", 140)):
+            with pytest.raises(protocol.ProtocolError,
+                               match=f"unknown call field.*{field}"):
+                protocol.validate_call(
+                    {"operation": "dot", "n": 8, field: value})
 
     def test_rejects_unknown_operation(self):
         with pytest.raises(protocol.ProtocolError, match="operation"):
@@ -57,6 +60,7 @@ class TestValidateCall:
         with pytest.raises(protocol.ProtocolError):
             protocol.validate_call({"operation": "dot", "n": n})
 
+    # clock_mhz is no longer a call field, so any value of it is rejected.
     @pytest.mark.parametrize("field,value", [
         ("k", 0), ("k", True), ("m", -2), ("blades", 0),
         ("architecture", "mesh"), ("clock_mhz", 0),

@@ -46,14 +46,8 @@ class TestMaterialize:
         assert matrix.nrows == 36
         assert len(x) == 36
 
-    def test_tenant_attribution(self):
-        request = materialize({"operation": "dot", "n": 8, "seed": 0},
-                              tenant="astro")
-        assert request.tenant == "astro"
-
     def test_cg_materializes_a_program(self):
-        request = materialize({"operation": "cg", "n": 6, "seed": 4},
-                              tenant="solver")
+        request = materialize({"operation": "cg", "n": 6, "seed": 4})
         assert request.operation == "program"
         program = request.operands[0]
         assert program.nodes[0].value is not None
@@ -134,6 +128,18 @@ class TestServiceCore:
         assert response["reason"] == protocol.REJECT_INVALID
         metrics = service.handle({"op": "metrics"})["metrics"]
         assert metrics["tenants"]["astro"]["jobs"]["rejected"] == 1
+
+    def test_clock_mhz_is_rejected_not_ignored(self):
+        # Every design runs at its own achievable clock, so a requested
+        # clock would be silently dropped; the call is refused instead.
+        service = BlasService()
+        response = submit(service, "astro",
+                          {"operation": "dot", "n": 64,
+                           "clock_mhz": 1.0})
+        assert response["type"] == "rejected"
+        assert response["reason"] == protocol.REJECT_INVALID
+        assert "clock_mhz" in response["detail"]
+        assert service.handle({"op": "drain"})["results"] == []
 
     def test_invalid_program_typed_reject_pre_admission(self):
         # cg with k=8 passes protocol validation but fails static

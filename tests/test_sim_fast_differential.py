@@ -177,10 +177,15 @@ class TestErrorParity:
         assert messages["cycle"] == messages["fast"]
 
     def test_bad_sim_mode_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="unknown sim mode"):
-            api.BlasCall("dot", shape=(8,), sim_mode="warp")
-        with pytest.raises(ValueError, match="unknown sim mode"):
-            BlasRuntime(sim_mode="warp")
+        from repro.serve.server import ServeConfig
+
+        for mode in ("warp", "auto"):
+            with pytest.raises(ValueError, match="unknown sim mode"):
+                api.BlasCall("dot", shape=(8,), sim_mode=mode)
+            with pytest.raises(ValueError, match="unknown sim mode"):
+                BlasRuntime(sim_mode=mode)
+            with pytest.raises(ValueError, match="unknown sim mode"):
+                ServeConfig(sim_mode=mode)
 
 
 # ----------------------------------------------------------------------
