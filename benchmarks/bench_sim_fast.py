@@ -2,8 +2,13 @@
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_sim_fast.py \
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
+        python benchmarks/bench_sim_fast.py \
         [--out BENCH_sim_fast.json] [--gang-n 1024]
+
+One BLAS thread keeps the gang case steady on a shared host: there a
+multi-threaded matmul stalls whenever another process holds a core,
+which swings the gang's fast time several-fold between runs.
 
 Each case runs once in cycle mode and twice in fast mode: the first
 fast run pays any one-time schedule recording / slab calibration, the
@@ -52,7 +57,7 @@ def bench_api_case(name, func, run_args, **kwargs):
         "fast_warm_seconds": round(fast_warm_s, 6),
         "speedup_cold": round(cycle_s / fast_cold_s, 1),
         "speedup_warm": round(cycle_s / fast_warm_s, 1),
-        "total_cycles": cycle_out[1].total_cycles,
+        "total_cycles": cycle_out.report.total_cycles,
     }
 
 

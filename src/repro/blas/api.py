@@ -278,6 +278,8 @@ class BlasCall:
                 raise ValueError(
                     "spmxv plans from the matrix's row structure; "
                     "pass operands=(matrix, x-or-None)")
+            if matrix.nnz == 0:
+                raise ValueError("spmxv matrix has no nonzeros")
             return (matrix.nrows, matrix.ncols)
         if self.operands is not None:
             if op == "dot":

@@ -35,6 +35,19 @@ def _tree_fold(values: List[float]) -> float:
     return values[0]
 
 
+def fold_columns(table: np.ndarray) -> np.ndarray:
+    """Row-wise pairwise tree sum, replicating :func:`_tree_fold`'s
+    association order (adjacent pairs per level, odd leftover carried)
+    across all rows at once."""
+    while table.shape[1] > 1:
+        ncols = table.shape[1]
+        nxt = table[:, 0:ncols - 1:2] + table[:, 1:ncols:2]
+        if ncols % 2:
+            nxt = np.concatenate([nxt, table[:, ncols - 1:]], axis=1)
+        table = nxt
+    return table[:, 0]
+
+
 @dataclass
 class DotProductRun:
     """Outcome of one simulated dot product."""
@@ -100,8 +113,13 @@ class DotProductDesign:
         self.num_multipliers = k
         self.num_tree_adders = k - 1
 
-    def run(self, u: np.ndarray, v: np.ndarray) -> DotProductRun:
-        """Simulate ``u · v`` cycle by cycle."""
+    def tree_partials(self, u: np.ndarray,
+                      v: np.ndarray) -> Tuple[int, np.ndarray]:
+        """Validate ``u`` and ``v`` and return ``n`` and the tree-root
+        value of every k-wide group: the k products, zero-padded past
+        ``n``, folded in the adder tree's association order.  The
+        multipliers and the tree hold no state across groups, so both
+        sim modes compute these once per call."""
         u = np.asarray(u, dtype=np.float64).ravel()
         v = np.asarray(v, dtype=np.float64).ravel()
         if u.shape != v.shape:
@@ -111,13 +129,20 @@ class DotProductDesign:
             raise ValueError("vectors must be non-empty")
         k = self.k
         rows = math.ceil(n / k)
-        if n % k:
-            pad = rows * k - n
-            u = np.concatenate([u, np.zeros(pad)])
-            v = np.concatenate([v, np.zeros(pad)])
+        products = np.zeros(rows * k)
+        np.multiply(u, v, out=products[:n])
+        return n, fold_columns(products.reshape(rows, k))
+
+    def run(self, u: np.ndarray, v: np.ndarray) -> DotProductRun:
+        """Simulate ``u · v`` cycle by cycle."""
+        n, partials = self.tree_partials(u, v)
+        k = self.k
+        rows = len(partials)
+        values = partials.tolist()
 
         # Lockstep pipelines: the k multipliers as one k-wide pipeline,
-        # the adder tree as one pipeline of tree_latency cycles.
+        # the adder tree as one pipeline of tree_latency cycles.  Each
+        # slot carries the group's tree-root value and its last flag.
         mult_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
             [None] * self.alpha_mul, maxlen=self.alpha_mul
         )
@@ -159,11 +184,7 @@ class DotProductDesign:
             if row < rows and tokens >= 2 * k:
                 tokens -= 2 * k
                 words_read += 2 * k
-                base = row * k
-                products = [float(u[base + j]) * float(v[base + j])
-                            for j in range(k)]
-                partial = _tree_fold(products) if k > 1 else products[0]
-                mult_pipe.append((partial, row == rows - 1))
+                mult_pipe.append((values[row], row == rows - 1))
                 row += 1
             else:
                 mult_pipe.append(None)

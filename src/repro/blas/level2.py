@@ -31,7 +31,7 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blas.level1 import _tree_fold
+from repro.blas.level1 import fold_columns
 from repro.reduction.single_adder import SingleAdderReduction
 from repro.sim.engine import SimulationError
 
@@ -100,8 +100,14 @@ class TreeMvmDesign:
                 f"of {self.bram_words} words; use run_blocked()"
             )
 
-    def run(self, A: np.ndarray, x: np.ndarray) -> MvmRun:
-        """Simulate y = A·x with x resident in local storage."""
+    def tree_partials(self, A: np.ndarray,
+                      x: np.ndarray) -> Tuple[int, np.ndarray]:
+        """Validate ``A`` and ``x`` and return ``ncols`` and the
+        (nrows × n/k) tree-root values: per row, each k-wide group's
+        products, zero-padded past ``ncols``, folded in the adder
+        tree's association order.  The multipliers and the tree hold no
+        state across groups, so both sim modes compute these once per
+        call."""
         A = np.asarray(A, dtype=np.float64)
         x = np.asarray(x, dtype=np.float64).ravel()
         nrows, ncols = A.shape
@@ -110,22 +116,31 @@ class TreeMvmDesign:
         self._check_local_storage(len(x))
         k = self.k
         groups = math.ceil(ncols / k)
-        if ncols % k:
-            pad = groups * k - ncols
-            A = np.hstack([A, np.zeros((nrows, pad))])
-            x = np.concatenate([x, np.zeros(pad)])
+        products = np.zeros((nrows, groups * k))
+        np.multiply(A, x, out=products[:, :ncols])
+        partials = fold_columns(products.reshape(nrows * groups, k))
+        return ncols, partials.reshape(nrows, groups)
 
-        mult_pipe: Deque[Optional[Tuple[float, bool, int]]] = deque(
+    def run(self, A: np.ndarray, x: np.ndarray) -> MvmRun:
+        """Simulate y = A·x with x resident in local storage."""
+        ncols, partials = self.tree_partials(A, x)
+        nrows, groups = partials.shape
+        k = self.k
+        values = partials.ravel().tolist()
+
+        # Each pipeline slot carries a (matrix row, k-group) work item:
+        # its tree-root value and whether it closes the row.
+        mult_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
             [None] * self.alpha_mul, maxlen=self.alpha_mul
         )
         tree_len = max(1, self.tree_latency)
-        tree_pipe: Deque[Optional[Tuple[float, bool, int]]] = deque(
+        tree_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
             [None] * tree_len, maxlen=tree_len
         )
         reduction = SingleAdderReduction(alpha=self.alpha_add)
 
         cycle = 0
-        total_rows = nrows * groups  # (matrix row, k-group) work items
+        total_rows = len(values)
         item = 0
         words_read = 0
         max_cycles = 4 * total_rows + 100 * self.alpha_add ** 2 + 1000
@@ -136,7 +151,7 @@ class TreeMvmDesign:
 
             tree_out = tree_pipe.popleft()
             if tree_out is not None:
-                value, last, _row = tree_out
+                value, last = tree_out
                 if not reduction.cycle(value, last):
                     raise SimulationError(
                         "reduction circuit stalled the adder tree"
@@ -147,15 +162,10 @@ class TreeMvmDesign:
             tree_pipe.append(mult_pipe.popleft())
 
             if item < total_rows:
-                row, group = divmod(item, groups)
-                base = group * k
                 # k multipliers: A elements from memory, x from local
                 # storage (no external reads for x).
-                products = A[row, base:base + k] * x[base:base + k]
                 words_read += k
-                partial = _tree_fold(list(products)) if k > 1 \
-                    else float(products[0])
-                mult_pipe.append((partial, group == groups - 1, row))
+                mult_pipe.append((values[item], (item + 1) % groups == 0))
                 item += 1
             else:
                 mult_pipe.append(None)

@@ -12,7 +12,10 @@ tiers:
    MultiFpgaMatrixMultiply`) datapath is replaced by slab matmuls with
    analytically derived traffic counters, and the dot/gemv/spmxv tails
    come out of the *recorded* reduction schedule (below), so every
-   charged cycle equals the cycle-accurate count.
+   charged cycle equals the cycle-accurate count.  Their front end —
+   validation, lane padding, products and adder-tree fold — is the
+   design's own ``tree_partials``, the one cycle mode steps from, so
+   the two modes differ only in how they run the reduction circuit.
 2. **Vectorized stepping** — the irregular path, the single-adder
    reduction circuit, is value-independent: the controller's decisions
    (fill, fold, bank swap, drain pick) depend only on set sizes and
@@ -257,22 +260,6 @@ class FastReduction:
 
 
 # ----------------------------------------------------------------------
-# shared vectorized front-ends
-# ----------------------------------------------------------------------
-def fold_columns(table: np.ndarray) -> np.ndarray:
-    """Row-wise pairwise tree sum, replicating
-    :func:`repro.blas.level1._tree_fold`'s association order (adjacent
-    pairs per level, odd leftover carried) across all rows at once."""
-    while table.shape[1] > 1:
-        ncols = table.shape[1]
-        nxt = table[:, 0:ncols - 1:2] + table[:, 1:ncols:2]
-        if ncols % 2:
-            nxt = np.concatenate([nxt, table[:, ncols - 1:]], axis=1)
-        table = nxt
-    return table[:, 0]
-
-
-# ----------------------------------------------------------------------
 # tier 1: analytic fast-forward of the BLAS kernels
 # ----------------------------------------------------------------------
 def fast_dot(design: DotProductDesign, u: np.ndarray,
@@ -286,21 +273,9 @@ def fast_dot(design: DotProductDesign, u: np.ndarray,
     """
     if design.words_per_cycle < 2 * design.k:
         return None
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError("vectors must have equal length")
-    n = len(u)
-    if n == 0:
-        raise ValueError("vectors must be non-empty")
+    n, partials = design.tree_partials(u, v)
     k = design.k
-    rows = math.ceil(n / k)
-    if n % k:
-        pad = rows * k - n
-        u = np.concatenate([u, np.zeros(pad)])
-        v = np.concatenate([v, np.zeros(pad)])
-
-    partials = fold_columns((u * v).reshape(rows, k))
+    rows = len(partials)
     program = reduction_program(back_to_back_pattern((rows,)),
                                 design.alpha_add)
     result = program.apply(partials)[0]
@@ -317,23 +292,12 @@ def fast_dot(design: DotProductDesign, u: np.ndarray,
 
 def _fast_tree_mvm(design: TreeMvmDesign, A: np.ndarray,
                    x: np.ndarray) -> MvmRun:
-    A = np.asarray(A, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64).ravel()
-    nrows, ncols = A.shape
-    if ncols != len(x):
-        raise ValueError("dimension mismatch")
-    design._check_local_storage(len(x))
+    ncols, partials = design.tree_partials(A, x)
+    nrows, groups = partials.shape
     k = design.k
-    groups = math.ceil(ncols / k)
-    if ncols % k:
-        pad = groups * k - ncols
-        A = np.hstack([A, np.zeros((nrows, pad))])
-        x = np.concatenate([x, np.zeros(pad)])
-
-    partials = fold_columns((A * x[None, :]).reshape(nrows * groups, k))
     program = reduction_program(
         back_to_back_pattern((groups,) * nrows), design.alpha_add)
-    results = program.apply(partials)
+    results = program.apply(partials.ravel())
     y = np.zeros(nrows)
     for res in results:
         y[res.set_id] = res.value
@@ -462,36 +426,12 @@ def fast_spmxv(design, matrix, x: np.ndarray):
     count *exact* even for arbitrary sparsity."""
     from repro.sparse.spmxv import SpmxvRun
 
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if len(x) != matrix.ncols:
-        raise ValueError("dimension mismatch")
-    if design.bram_words is not None and len(x) > design.bram_words:
-        raise MemoryError(
-            f"x of {len(x)} words exceeds on-chip storage of "
-            f"{design.bram_words} words"
-        )
+    nonempty, sizes, partials = design.tree_partials(matrix, x)
     k = design.k
-    row_nnz = np.diff(matrix.row_ptr)
-    nonempty = np.flatnonzero(row_nnz)
-    sizes = -(-row_nnz[nonempty] // k)  # ceil per non-empty row
-    n_chunks = int(sizes.sum())
-    if n_chunks == 0:
+    if len(partials) == 0:
         return SpmxvRun(y=np.zeros(matrix.nrows), nrows=matrix.nrows,
                         nnz=matrix.nnz, k=k, total_cycles=0,
                         words_read=0)
-
-    # Scatter the nnz-elementwise products into zero-padded k-wide
-    # chunk lanes, exactly as the datapath pads its multiplier lanes.
-    products = matrix.values * x[matrix.col_indices]
-    offsets = (np.arange(matrix.nnz, dtype=np.int64)
-               - np.repeat(matrix.row_ptr[:-1], row_nnz))
-    chunk_base = np.zeros(matrix.nrows, dtype=np.int64)
-    chunk_base[nonempty] = np.cumsum(sizes) - sizes
-    chunk_idx = np.repeat(chunk_base, row_nnz) + offsets // k
-    table = np.zeros((n_chunks, k))
-    table[chunk_idx, offsets % k] = products
-    partials = fold_columns(table)
-
     program = reduction_program(
         back_to_back_pattern(tuple(int(s) for s in sizes)),
         design.alpha_add)
@@ -502,7 +442,7 @@ def fast_spmxv(design, matrix, x: np.ndarray):
     total = (program.last_emit_cycle + design.alpha_mul
              + max(1, design.tree_latency))
     return SpmxvRun(y=y, nrows=matrix.nrows, nnz=matrix.nnz, k=k,
-                    total_cycles=total, words_read=2 * k * n_chunks)
+                    total_cycles=total, words_read=2 * k * len(partials))
 
 
 # ----------------------------------------------------------------------

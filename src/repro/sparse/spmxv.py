@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 
-from repro.blas.level1 import _tree_fold
+from repro.blas.level1 import fold_columns
 from repro.reduction.single_adder import SingleAdderReduction
 from repro.sim.engine import SimulationError
 from repro.sparse.csr import CsrMatrix
@@ -70,6 +70,29 @@ class SpmxvRun:
                 / self.total_cycles / 1e9)
 
 
+def chunk_partials(matrix: CsrMatrix, x: np.ndarray,
+                   k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tree-root value of every k-wide nonzero chunk.
+
+    Each non-empty row streams as ``ceil(nnz/k)`` chunks; a chunk's k
+    products (missing lanes zero-padded, exactly as the datapath pads
+    its multiplier lanes) are folded in the adder tree's association
+    order.  Returns the non-empty rows' indices, their chunk counts and
+    the chunk values in streaming order."""
+    row_nnz = np.diff(matrix.row_ptr)
+    nonempty = np.flatnonzero(row_nnz)
+    sizes = -(-row_nnz[nonempty] // k)  # ceil per non-empty row
+    products = matrix.values * x[matrix.col_indices]
+    offsets = (np.arange(matrix.nnz, dtype=np.int64)
+               - np.repeat(matrix.row_ptr[:-1], row_nnz))
+    chunk_base = np.zeros(matrix.nrows, dtype=np.int64)
+    chunk_base[nonempty] = np.cumsum(sizes) - sizes
+    chunk_idx = np.repeat(chunk_base, row_nnz) + offsets // k
+    table = np.zeros((int(sizes.sum()), k))
+    table[chunk_idx, offsets % k] = products
+    return nonempty, sizes, fold_columns(table)
+
+
 class SpmxvDesign:
     """Cycle-accurate tree-architecture SpMXV over CRS input."""
 
@@ -85,7 +108,12 @@ class SpmxvDesign:
         self.tree_latency = self.tree_levels * alpha_add
         self.bram_words = bram_words
 
-    def run(self, matrix: CsrMatrix, x: np.ndarray) -> SpmxvRun:
+    def tree_partials(self, matrix: CsrMatrix, x: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validate ``x`` against the matrix and on-chip storage, then
+        return :func:`chunk_partials`.  The multipliers and the tree
+        hold no state across chunks, so both sim modes compute these
+        once per call."""
         x = np.asarray(x, dtype=np.float64).ravel()
         if len(x) != matrix.ncols:
             raise ValueError("dimension mismatch")
@@ -94,39 +122,30 @@ class SpmxvDesign:
                 f"x of {len(x)} words exceeds on-chip storage of "
                 f"{self.bram_words} words"
             )
+        return chunk_partials(matrix, x, self.k)
+
+    def run(self, matrix: CsrMatrix, x: np.ndarray) -> SpmxvRun:
+        nonempty, sizes, partials = self.tree_partials(matrix, x)
         k = self.k
+        # Work list: one (tree-root value, closes-its-row) per chunk;
+        # empty rows never enter the datapath.
+        closes = np.zeros(len(partials), dtype=bool)
+        closes[np.cumsum(sizes) - 1] = True
+        chunks = list(zip(partials.tolist(), closes.tolist()))
 
-        # Work list: per non-empty row, the sequence of k-wide chunks.
-        chunks: List[Tuple[float, bool, int]] = []
-        empty_rows: List[int] = []
-        for i, vals, cols in matrix.iter_rows():
-            nnz = len(vals)
-            if nnz == 0:
-                empty_rows.append(i)
-                continue
-            groups = math.ceil(nnz / k)
-            for g in range(groups):
-                lo, hi = g * k, min((g + 1) * k, nnz)
-                # k multipliers; missing lanes are zero-padded bubbles.
-                products = list(vals[lo:hi] * x[cols[lo:hi]])
-                products += [0.0] * (k - len(products))
-                partial = _tree_fold(products) if k > 1 else products[0]
-                chunks.append((partial, g == groups - 1, i))
-
-        mult_pipe: Deque[Optional[Tuple[float, bool, int]]] = deque(
+        mult_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
             [None] * self.alpha_mul, maxlen=self.alpha_mul
         )
         tree_len = max(1, self.tree_latency)
-        tree_pipe: Deque[Optional[Tuple[float, bool, int]]] = deque(
+        tree_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
             [None] * tree_len, maxlen=tree_len
         )
         reduction = SingleAdderReduction(alpha=self.alpha_add)
-        row_of_set: List[int] = []
 
         cycle = 0
         item = 0
         words_read = 0
-        expected = matrix.nrows - len(empty_rows)
+        expected = len(nonempty)
         max_cycles = 4 * len(chunks) + 100 * self.alpha_add ** 2 + 1000
         while len(reduction.results) < expected:
             cycle += 1
@@ -134,9 +153,7 @@ class SpmxvDesign:
                 raise SimulationError("SpMXV design failed to complete")
             tree_out = tree_pipe.popleft()
             if tree_out is not None:
-                value, is_last, row = tree_out
-                if is_last:
-                    row_of_set.append(row)
+                value, is_last = tree_out
                 if not reduction.cycle(value, is_last):
                     raise SimulationError(
                         "reduction circuit stalled the adder tree"
@@ -152,8 +169,9 @@ class SpmxvDesign:
             else:
                 mult_pipe.append(None)
 
+        # Sets are numbered in arrival order: the non-empty rows.
         y = np.zeros(matrix.nrows)
         for res in reduction.results:
-            y[row_of_set[res.set_id]] = res.value
+            y[nonempty[res.set_id]] = res.value
         return SpmxvRun(y=y, nrows=matrix.nrows, nnz=matrix.nnz, k=k,
                         total_cycles=cycle, words_read=words_read)

@@ -26,6 +26,7 @@ from repro.blas.api import (
     max_gemm_gang,
     spmxv,
 )
+from repro.sparse.csr import CsrMatrix
 from repro.workloads import poisson_2d
 
 
@@ -103,6 +104,19 @@ class TestBlasCallValidation:
     def test_spmxv_needs_matrix(self):
         with pytest.raises(ValueError, match="row structure"):
             BlasCall("spmxv", shape=(64, 64)).plan()
+
+    def test_spmxv_without_nonzeros_rejected(self):
+        empty = CsrMatrix.from_dense(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="no nonzeros"):
+            BlasCall("spmxv", operands=(empty, None)).plan()
+
+    @pytest.mark.parametrize("sim_mode", ["cycle", "fast"])
+    def test_spmxv_without_nonzeros_does_not_execute(self, sim_mode):
+        # No nonzero means no datapath cycle: the run's bandwidth would
+        # divide by zero.
+        empty = CsrMatrix.from_dense(np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="no nonzeros"):
+            spmxv(empty, np.ones(8), sim_mode=sim_mode)
 
     def test_cannot_execute_shape_only(self):
         with pytest.raises(ValueError, match="shape-only"):

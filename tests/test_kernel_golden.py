@@ -1,0 +1,306 @@
+"""Golden digests of the cycle-mode dot, tree-gemv and spmxv runs.
+
+The fast-vs-cycle differential harness compares two modes that share
+each kernel's front end (validation, lane padding, the multiplier
+products and the adder-tree fold), so a change to that front end moves
+both modes alike and passes it.  These tests pin the sha256 of every
+field of each ``DotProductRun``, ``MvmRun`` and ``SpmxvRun`` on an
+edge grid — k = 1, odd k, n not a multiple of k, a throttled dot,
+blocked gemv, empty sparse rows — so the values and cycle counts must
+match the code that recorded them.  Every case that fast mode accepts
+must produce the same digest there too.
+
+Operands come from integer arithmetic and one IEEE division each, not
+from an RNG, so the digests hold on any host and NumPy version.
+"""
+
+import dataclasses
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from repro.blas.level1 import DotProductDesign
+from repro.blas.level2 import TreeMvmDesign
+from repro.sim import fast
+from repro.sparse.csr import CsrMatrix
+from repro.sparse.spmxv import SpmxvDesign
+from repro.workloads import poisson_2d
+
+
+def _vec(n, salt):
+    return np.array([((i * 7919 + salt) % 1009 - 504) / 1013
+                     for i in range(n)])
+
+
+def _digest(run):
+    """sha256 over every dataclass field of a run, by name and bytes."""
+    h = hashlib.sha256()
+    for field in dataclasses.fields(run):
+        value = getattr(run, field.name)
+        h.update(field.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(repr(value.shape).encode())
+            h.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        elif isinstance(value, (float, np.floating)):
+            h.update(struct.pack("<d", float(value)))
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+def _sparse_with_empty_rows():
+    """41×30 with rows 0, 5, …, 40 empty (leading and trailing) and
+    the rest holding 8 or 9 nonzeros."""
+    nrows, ncols = 41, 30
+    dense = np.zeros((nrows, ncols))
+    for i in range(nrows):
+        if i % 5 == 0:
+            continue
+        for j in range(ncols):
+            if (i * 31 + j * 17) % 7 < 2:
+                dense[i, j] = ((i * ncols + j) * 389 % 1009 - 504) / 1013
+    return CsrMatrix.from_dense(dense)
+
+
+DOT_KS = (1, 2, 3, 4, 8)
+DOT_NS = (1, 7, 64, 1000)
+GEMV_KS = (1, 3, 4, 8)
+GEMV_NS = (5, 64, 250)
+SPMXV_KS = (1, 3, 4, 8)
+SPARSE = {"poisson12": lambda: poisson_2d(12),
+          "empty_rows": _sparse_with_empty_rows}
+
+
+def _dot_design(k, throttled):
+    # 1.5k words/cycle starves the 2k-word issue every few cycles.
+    return DotProductDesign(k=k, words_per_cycle=1.5 * k if throttled
+                            else None)
+
+
+def _dot_operands(n):
+    return _vec(n, 11), _vec(n, 503)
+
+
+def _gemv_operands(n):
+    return _vec(n * n, 17).reshape(n, n), _vec(n, 211)
+
+
+def _cases():
+    for k in DOT_KS:
+        for n in DOT_NS:
+            for throttled in (False, True):
+                tag = "-throttled" if throttled else ""
+                yield f"dot-k{k}-n{n}{tag}", ("dot", k, n, throttled)
+    for k in GEMV_KS:
+        for n in GEMV_NS:
+            for block in (None, 64):
+                tag = f"-b{block}" if block else ""
+                yield f"gemv-k{k}-n{n}{tag}", ("gemv", k, n, block)
+    for k in SPMXV_KS:
+        for name in sorted(SPARSE):
+            yield f"spmxv-k{k}-{name}", ("spmxv", k, name, None)
+
+
+CASES = dict(_cases())
+
+
+def _run(case, mode):
+    """The case's run object, stepped (``cycle``) or fast-forwarded."""
+    op, k, size, extra = CASES[case]
+    if op == "dot":
+        design = _dot_design(k, throttled=extra)
+        u, v = _dot_operands(size)
+        return design.run(u, v) if mode == "cycle" \
+            else fast.fast_dot(design, u, v)
+    if op == "gemv":
+        design = TreeMvmDesign(k=k)
+        A, x = _gemv_operands(size)
+        if mode == "fast":
+            return fast.fast_mvm(design, A, x, block=extra)
+        return design.run_blocked(A, x, extra) if extra \
+            else design.run(A, x)
+    design = SpmxvDesign(k=k)
+    matrix = SPARSE[size]()
+    x = _vec(matrix.ncols, 907)
+    return design.run(matrix, x) if mode == "cycle" \
+        else fast.fast_spmxv(design, matrix, x)
+
+
+#: sha256 of every field of the cycle-mode run, per case.
+GOLDEN = {
+    "dot-k1-n1":
+        "35ec1d28dfc915ec5ee3452329e09cf39c1411c18245c0bbf11720de7ec04ce2",
+    "dot-k1-n1-throttled":
+        "5fc9dff98e2573db4a35cd5657cd78161015aad093270315823715c96f88c00d",
+    "dot-k1-n1000":
+        "c3cffbd86399acf4830d47306d804ce942d5089b1c2cee489904530489a8ff77",
+    "dot-k1-n1000-throttled":
+        "134bf368ca61dc534c23cc07cb580c1910500dc0a89940f9d50b8018c1512f03",
+    "dot-k1-n64":
+        "c511b54ea2b30290c46e8ae46dfc63392bfcc0a5fe6e0fc775584b570c0d3b51",
+    "dot-k1-n64-throttled":
+        "5cface23cc6ba921e2696d2ce0fe26e34dcc2585b206afee77970cf157e05157",
+    "dot-k1-n7":
+        "2be8a6109fbabe35389ca37e6c3585a44e446dc5e50252dcf685785c876a8f60",
+    "dot-k1-n7-throttled":
+        "a97b4fb375f97c9e834d1fdced1f9f8ad9e46a3d434ff96217aa716cc4727aaf",
+    "dot-k2-n1":
+        "b186d40c890a8aee61cee89633f8541358f3ce886d8a675a9d750add4167de68",
+    "dot-k2-n1-throttled":
+        "c2a559e4e06cdb441f6b4022afe7b1819f5bdbcf018b948fb29d3fcca9e55470",
+    "dot-k2-n1000":
+        "7c92fbee928d9d9bb485055ec1a8ec8e272ac019f87afbfad607a80952458b11",
+    "dot-k2-n1000-throttled":
+        "82123bd944feb32662b5bf7275ecec49f936baf20fcfca30544dea55c07c58c8",
+    "dot-k2-n64":
+        "7b7443afc044d6fad2f43b1a31336a01b63f662b3c5ad6d7426ff38fbc8bb8ca",
+    "dot-k2-n64-throttled":
+        "ebb1aa661b9bfd4e449adb800b08b50c720b681a37c7fd090021f2997fcda292",
+    "dot-k2-n7":
+        "750cd77a4737231eff5f704c2875f04effd4b87bcb659a1acc2c436b07012490",
+    "dot-k2-n7-throttled":
+        "5ca4ae967ee854f566b308111accfdb45c8f669a387aa7a24e6e722426ad2e69",
+    "dot-k3-n1":
+        "1b30a8b3111f43569b06ed0fdfff49a7e62de97612077a1b469fa7e1c1e936cc",
+    "dot-k3-n1-throttled":
+        "6463c50ec6492ffefa035052a66609aaf8f697d543f315f3ca25d86ae4ad0bf8",
+    "dot-k3-n1000":
+        "98f33bb458f069399b711ee994d4c098843a190505f769289a4ef187fc58bdf3",
+    "dot-k3-n1000-throttled":
+        "1720aafcdbb5fcee2d07a1618576ae13db0df370412880b3c898a028811e44ba",
+    "dot-k3-n64":
+        "064c6084b619d7802718b395019c71f971e3232d064aba6974443f28e8735453",
+    "dot-k3-n64-throttled":
+        "db3b53279df15deb5a5ed363da0721d29e643c6409a259b570c051e00faa8c0a",
+    "dot-k3-n7":
+        "248715fbb1ab0be85cee96b9e5ffe024c5eae66a56cc1cb62996b84d2b3bc3df",
+    "dot-k3-n7-throttled":
+        "f1ce458ea7edc1f1135fc314fa7d981f2382f821c256137a1a5f0749ecde3df2",
+    "dot-k4-n1":
+        "383428c3a556b8ce83d1821720dc39220d45399a370c51dded7a0739bcf3a0a5",
+    "dot-k4-n1-throttled":
+        "bc89202e3531e1a7078f402c160df9dd164e85d305c950245f69e8b16820cb6f",
+    "dot-k4-n1000":
+        "59e1efd5af8f6cc87b5c062de65bea88adbdd09f6e9976499e8080350231155d",
+    "dot-k4-n1000-throttled":
+        "e3fac4a596a82fff9ceff293388e77ca6c1dda41406e8fa3d6bf1013a8532f79",
+    "dot-k4-n64":
+        "44f825d1aa522ea6e693e26bb0c89a2a86a7b27ae49dd7a1638b6537eec45eec",
+    "dot-k4-n64-throttled":
+        "92ec69cd74b85eb69c2c248dd9e6f20d2b553e9b0f4094c333c64890e0e9e2a4",
+    "dot-k4-n7":
+        "42aa6254d6c98ebdb5f7d79c3bc763891f196eef5011ead304c59532efd1c69f",
+    "dot-k4-n7-throttled":
+        "8822c5e93e9cd49abc0e50a74363b61925cadf69e2d8e17208f2d91aa571a7eb",
+    "dot-k8-n1":
+        "850341ec33da8a7c0c42aa8252f4b9fa7d8fb5bc659480b12293857f98210b9f",
+    "dot-k8-n1-throttled":
+        "85fa498e822366ea5b1e90ba98c8bf2178e363a6d1921f50ce409f90ba1158e7",
+    "dot-k8-n1000":
+        "7950dd32f6cf3f8c56ac9e69e5dd1b1efe078e328d99ee4c3946e814abf3b1a8",
+    "dot-k8-n1000-throttled":
+        "12922a7b7c9d73f5a9370f8c4401823f2a26cdd7171918f3a818dc3dfe0c8221",
+    "dot-k8-n64":
+        "3ccf9782d36f6e00eb52af7930db30d4b70a3b4b42f21ba0141c8f23279cad3a",
+    "dot-k8-n64-throttled":
+        "170d749e2414cc443e7172311a242dce940831086e3a1b36dfd3009cad01410a",
+    "dot-k8-n7":
+        "2a823e2fa9fc81ca8e65a38f1cd40b55fa4907d1dab0b6784f21f76b5060958d",
+    "dot-k8-n7-throttled":
+        "805c2db7d7e28a30213d9695de2b168404140429ae8dca71c458b1f64236cd53",
+    "gemv-k1-n250":
+        "152c68610e428b86f0e29191bd4ca2a901326566da28cbee6483479224da0921",
+    "gemv-k1-n250-b64":
+        "514d7a57b24b276be658baec37466065043583be05fb3e9c66901fe28fc731cf",
+    "gemv-k1-n5":
+        "531139ea31adf15c89f3de5148ccfddab4f16575c0999a7515a2ef0afd4d3358",
+    "gemv-k1-n5-b64":
+        "9a4694b475a2b0e78b161acb9432721b7ad144e0b3b336daa43bca19cf3515b9",
+    "gemv-k1-n64":
+        "e02dbed7fc16509c2a2b0595f194a98e44d2418d8589670156a3ade5ab595141",
+    "gemv-k1-n64-b64":
+        "c394e974a778f1aed24ed25834938a67d0852cecdf225fdb4f28725c19800e2d",
+    "gemv-k3-n250":
+        "fd46e9143a699e9f62cc8ef762a7fc5fc4a23b2950f9989c7d7220f935ce44f7",
+    "gemv-k3-n250-b64":
+        "6312113847253cef88f59703c50300359ba4dd74551a8f42048e72bb9049107b",
+    "gemv-k3-n5":
+        "25da5d8d9f4c9e088fa7d5bc8b7b689af27996ceee847745b6f5fdd82220cde9",
+    "gemv-k3-n5-b64":
+        "e6ec8031c80ddc074c6499681231044eaca4380eb5284f473870c19f2bdef278",
+    "gemv-k3-n64":
+        "bab561938aed26190dccb870afad3036e9ae581cf8f098f006b2c3204fbe5369",
+    "gemv-k3-n64-b64":
+        "1eefc31c8b99bf9fbd6adff3f137cb95a323dc3ea278f6c948adb4b074fbeac3",
+    "gemv-k4-n250":
+        "4023b03be51683d9721590ea5cc3196aed318b3af90bc53ea64f80e21f7b1d6e",
+    "gemv-k4-n250-b64":
+        "6ac489c66c7d3e3987afb2e024faf506e355cf306eda977b9fecd55eb2757c31",
+    "gemv-k4-n5":
+        "cdc009264387411a9f8550f502f9b9cd248eb97128e2f29d1ed92e6ba1d28fa2",
+    "gemv-k4-n5-b64":
+        "bc988fd37adf8e713a5c8983e57b7bdd795e314180b84a73286af5a79ea508d3",
+    "gemv-k4-n64":
+        "381b4033e2f07f1a154276ade3785b4e08f6aff4007609b1ca3457ef086d3711",
+    "gemv-k4-n64-b64":
+        "077940e851a1ae8b6a7e81137f00983cbced7ce8914bf911d294f71ce0e61454",
+    "gemv-k8-n250":
+        "98d1e665b270ca10ccebec489d590dbef643b7c5f5a6914850e96c7b1de77c9a",
+    "gemv-k8-n250-b64":
+        "731f3d2e4383bc992f3452ac60a41b7d91508ce654e7cdbfd436e2133d6c6de7",
+    "gemv-k8-n5":
+        "5b5121016139f3cb55db2be25a9c3537d0cacfe0414575b29a0886ac1f7a8ec9",
+    "gemv-k8-n5-b64":
+        "3c0eb95161a049ebc330cd40785701cea031c72f44753375ac88dfcdbca8edd1",
+    "gemv-k8-n64":
+        "828021fe6181db3e1570208fa2a077dc0064020026befdfbc816a75ad1343e90",
+    "gemv-k8-n64-b64":
+        "4556efe3882cc5c219febff66b7a3d03bd6929750233392dc9faeb666c6d82e5",
+    "spmxv-k1-empty_rows":
+        "fe81db82bfc0c7c810ed8ff42f1b696d9cacde06bbf48886ead443d4e9d40822",
+    "spmxv-k1-poisson12":
+        "5e95477caf6b183a604289cf2821a033255984d698879be66c78fe97f0a8691d",
+    "spmxv-k3-empty_rows":
+        "18864b274ad63c5dac7ac59226b0440395a1352947d463a5d22f99e686199042",
+    "spmxv-k3-poisson12":
+        "2c49606f000a40d84388541cfb38b2356b0e794b8215bb022fb02e354c44d735",
+    "spmxv-k4-empty_rows":
+        "9c5604eba6a1a3b648ab763f91bdf73ab0f5c46d809675247716208e143ba0c2",
+    "spmxv-k4-poisson12":
+        "9f36365fc79a5eb4a4976d9e130bbfcf70f4669fdaea9fb42c5ebb9a732b38f5",
+    "spmxv-k8-empty_rows":
+        "f2268ced449ae2650bf30a4a825af0dd95313ab18850eb90924834a34686fc57",
+    "spmxv-k8-poisson12":
+        "57d76a2fd647d5b066f4667954a6518fb3421ad0c2e821ce39483d37ca5e3233",
+}
+
+
+def test_grid_is_pinned():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+def test_empty_rows_fixture_has_leading_and_trailing_empties():
+    row_nnz = np.diff(_sparse_with_empty_rows().row_ptr)
+    assert row_nnz[0] == 0 and row_nnz[-1] == 0
+    assert row_nnz[1:-1].max() > max(SPMXV_KS)
+
+
+def _modes():
+    for case, (op, _k, _size, extra) in sorted(CASES.items()):
+        yield case, "cycle"
+        # Fast mode declines a throttled dot (issue timing then follows
+        # the memory tokens); the test below pins that.
+        if not (op == "dot" and extra):
+            yield case, "fast"
+
+
+def test_fast_dot_declines_a_throttled_design():
+    u, v = _dot_operands(7)
+    assert fast.fast_dot(_dot_design(4, throttled=True), u, v) is None
+
+
+@pytest.mark.parametrize("case,mode", list(_modes()))
+def test_run_matches_golden_digest(case, mode):
+    assert _digest(_run(case, mode)) == GOLDEN[case]

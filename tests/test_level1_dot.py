@@ -1,9 +1,22 @@
 """Unit tests for the Level-1 dot product design."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.blas.level1 import DotProductDesign, _tree_fold
+from repro.blas.level1 import DotProductDesign, _tree_fold, fold_columns
+
+#: Finite doubles small enough that nine of them cannot overflow a sum.
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
+              allow_infinity=False))
+_TABLES = st.integers(1, 9).flatmap(lambda cols: st.lists(
+    st.lists(_FINITE, min_size=cols, max_size=cols),
+    min_size=1, max_size=20))
 
 
 class TestTreeFold:
@@ -16,6 +29,15 @@ class TestTreeFold:
 
     def test_odd_width(self):
         assert _tree_fold([1.0, 2.0, 3.0]) == 6.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TABLES)
+    def test_fold_columns_is_tree_fold_per_row(self, rows):
+        folded = fold_columns(np.array(rows, dtype=np.float64))
+        assert len(folded) == len(rows)
+        for row, value in zip(rows, folded):
+            assert struct.pack("<d", value) \
+                == struct.pack("<d", _tree_fold(list(row)))
 
 
 class TestCorrectness:

@@ -8,6 +8,7 @@ from repro.blas import api
 from repro.runtime import BlasRuntime, JobState
 from repro.runtime.executor import RECONFIG_BITSTREAM_BYTES
 from repro.runtime.job import BlasRequest
+from repro.sparse.csr import CsrMatrix
 from repro.workloads import blas_request_mix, gemm_burst, poisson_2d
 
 
@@ -193,6 +194,23 @@ class TestScaling:
                 runtime.submit(req, at=at)
             gflops[chassis] = runtime.run().sustained_gflops
         assert gflops[2] > gflops[1]
+
+
+class TestPlanningFailures:
+    def test_spmxv_without_nonzeros_fails_only_itself(self, rng):
+        runtime = BlasRuntime(chassis=1, blades=2)
+        empty = CsrMatrix.from_dense(np.zeros((8, 8)))
+        bad = runtime.submit(BlasRequest("spmxv", (empty, np.ones(8))),
+                             at=0.0)
+        assert bad.state is JobState.FAILED
+        assert bad.error == "planning failed: spmxv matrix has no nonzeros"
+        good = runtime.submit(BlasRequest(
+            "dot", (rng.standard_normal(8), rng.standard_normal(8))),
+            at=0.0)
+        metrics = runtime.run()
+        assert bad.state is JobState.FAILED
+        assert good.state is JobState.DONE
+        assert metrics.jobs_completed == 1
 
 
 class TestArrivals:
