@@ -219,11 +219,12 @@ class BlasCall:
     boundary-crossing term, keeping plan == execute exact.
 
     ``sim_mode`` selects the execution substrate: ``"cycle"``
-    (default) steps the cycle-accurate designs; ``"fast"`` uses the
-    proven-equivalent fast paths of :mod:`repro.sim.fast`
-    (byte-identical results, identical cycle counts) and falls back to
-    cycle stepping for anything without a proven fast path.  Planning
-    is unaffected — plans never execute either way.
+    (default) steps the cycle-accurate designs; ``"fast"`` runs each
+    design's proven-equivalent fast branch through the entry points of
+    :mod:`repro.sim.fast` (byte-identical results, identical cycle
+    counts).  A design whose fast branch is ineligible — a throttled
+    dot, a gang whose slab self-check fails — steps inside its own
+    ``run``.  Planning is unaffected — plans never execute either way.
 
     Design-rule checks live outside the call: ``repro analyze`` for
     designs, :meth:`repro.blas.program.BlasProgram.check` for programs.
@@ -248,10 +249,7 @@ class BlasCall:
             raise ValueError(
                 f"unknown operation {self.operation!r}; "
                 f"expected one of {tuple(DEFAULT_K)}")
-        if self.sim_mode not in fastsim.SIM_MODES:
-            raise ValueError(
-                f"unknown sim mode {self.sim_mode!r}; expected one of "
-                f"{fastsim.SIM_MODES}")
+        fastsim.check_sim_mode(self.sim_mode)
         if self.k is None:
             self.k = DEFAULT_K[self.operation]
         if self.blades < 1:
@@ -447,9 +445,8 @@ class BlasCall:
         if op == "dot":
             u, v = self.operands
             design = DotProductDesign(k=self.k)
-            run = fastsim.fast_dot(design, u, v) if use_fast else None
-            if run is None:
-                run = design.run(u, v)
+            run = (fastsim.fast_dot(design, u, v) if use_fast
+                   else design.run(u, v))
             area = self._area()
             clock = self._clock(area)
             report = PerfReport(
@@ -465,11 +462,12 @@ class BlasCall:
         if op == "gemv":
             A, x = self.operands
             design = self._mvm_design()
-            run = (fastsim.fast_mvm(design, A, x, block=self.block)
-                   if use_fast else None)
-            if run is None:
-                run = (design.run_blocked(A, x, self.block) if self.block
-                       else design.run(A, x))
+            if use_fast:
+                run = fastsim.fast_mvm(design, A, x, block=self.block)
+            elif self.block:
+                run = design.run_blocked(A, x, self.block)
+            else:
+                run = design.run(A, x)
             area = self._area()
             clock = self._clock(area)
             report = PerfReport(
@@ -491,9 +489,7 @@ class BlasCall:
         matrix, x = self.operands
         design = SpmxvDesign(k=self.k)
         run = (fastsim.fast_spmxv(design, matrix, x) if use_fast
-               else None)
-        if run is None:
-            run = design.run(matrix, x)
+               else design.run(matrix, x))
         area = self._area()
         clock = self._clock(area)
         report = PerfReport(
@@ -529,9 +525,7 @@ class BlasCall:
         if self.blades > 1:
             gang = self._gang_design(m, padded)
             run = (fastsim.fast_multi_fpga_mm(gang, a_pad, b_pad)
-                   if use_fast else None)
-            if run is None:
-                run = gang.run(a_pad, b_pad)
+                   if use_fast else gang.run(a_pad, b_pad))
             bandwidth = run.dram_bandwidth_mbytes(clock) / 1e3
             crossing = self._inter_chassis_cycles(m, padded)
         else:

@@ -10,19 +10,24 @@ match the available memory bandwidth (2k words/cycle); with unlimited
 compute the peak performance equals the delivery bandwidth in words/s
 (Section 4.4), and the design's efficiency is the ratio of useful
 cycles to total cycles including the reduction flush.
+
+:class:`TreeDatapath` is that architecture; row-major MVM, SpMXV and
+asum run on it too, each with its own front end.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.reduction.base import ReducedResult
 from repro.reduction.single_adder import SingleAdderReduction
 from repro.sim.engine import SimulationError
+from repro.sim.fast import (back_to_back_pattern, check_sim_mode,
+                             reduction_program)
 
 
 def _tree_fold(values: List[float]) -> float:
@@ -85,8 +90,108 @@ class DotProductRun:
                 / self.total_cycles / 1e9)
 
 
-class DotProductDesign:
-    """Cycle-accurate tree architecture for dot product.
+class TreeDatapath:
+    """The tree architecture of Sections 4.1–4.3: k pipelined
+    multipliers, a (k−1)-adder binary tree and the single-adder
+    reduction circuit.
+
+    Dot product, row-major MVM, SpMXV and asum run on it.  Each design
+    keeps its own front end, which computes the tree-root value of
+    every k-wide group once per call (the multipliers and the tree hold
+    no state across groups), and its own result assembly; the stateful
+    part — delay lines, memory throttle, reduction circuit — is
+    :meth:`stream`, once for all four.
+    """
+
+    def __init__(self, k: int, alpha_mul: int = 11,
+                 alpha_add: int = 14) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.k = k
+        self.alpha_mul = alpha_mul
+        self.alpha_add = alpha_add
+        self.tree_levels = max(0, math.ceil(math.log2(k))) if k > 1 else 0
+        self.tree_latency = self.tree_levels * alpha_add
+
+    def stream(self, partials: np.ndarray, sizes: Sequence[int],
+               sim_mode: str = "cycle",
+               words_per_cycle: Optional[float] = None
+               ) -> Tuple[List[ReducedResult], int]:
+        """Run the tree-root values, one k-wide group per cycle, into
+        the reduction circuit as back-to-back sets of ``sizes`` values.
+
+        Returns the reduced sets, numbered in arrival order, and the
+        cycle the last one emits.  Each value passes the multiplier
+        pipeline and the adder tree — one delay line of ``alpha_mul +
+        max(1, tree_latency)`` stages, since two chained FIFOs delay
+        like one of the summed length.  ``words_per_cycle`` throttles
+        issue through a token counter capped at 4k: each group reads 2k
+        words (the dot product's memory system).
+
+        ``sim_mode="cycle"`` steps every cycle.  ``"fast"`` replays the
+        reduction circuit's recorded schedule when issue is back to
+        back, and steps otherwise.
+        """
+        check_sim_mode(sim_mode)
+        if not len(sizes):
+            return [], 0
+        k = self.k
+        delay = self.alpha_mul + max(1, self.tree_latency)
+        rate = 2.0 * k if words_per_cycle is None else words_per_cycle
+        throttled = rate < 2 * k
+        if sim_mode == "fast" and not throttled:
+            program = reduction_program(back_to_back_pattern(sizes),
+                                        self.alpha_add)
+            return program.apply(partials), program.last_emit_cycle + delay
+
+        closes = np.zeros(len(partials), dtype=bool)
+        closes[np.cumsum(sizes) - 1] = True
+        items = zip(partials.tolist(), closes.tolist())
+        slowdown = max(1, math.ceil(2 * k / rate)) if throttled else 1
+        max_cycles = (delay + 4 * len(partials) * slowdown
+                      + 100 * self.alpha_add ** 2 + 1000)
+        # What reaches the reduction circuit each cycle, as (tree-root
+        # value, closes its set) or None: nothing while the first group
+        # crosses the delay line, then one group per issue cycle.
+        feed: List[Optional[Tuple[float, bool]]] = [None] * delay
+        if throttled:
+            # The counter starts each cycle under 2k words, so it never
+            # reaches its 4k cap.
+            tokens = 0.0
+            for entry in items:
+                tokens += rate
+                while tokens < 2 * k:
+                    if len(feed) > max_cycles:
+                        raise SimulationError(
+                            "tree datapath failed to complete")
+                    feed.append(None)
+                    tokens += rate
+                tokens -= 2 * k
+                feed.append(entry)
+        else:
+            feed.extend(items)
+
+        reduction = SingleAdderReduction(alpha=self.alpha_add)
+        for entry in feed:
+            if entry is None:
+                reduction.cycle()
+            elif not reduction.cycle(*entry):
+                raise SimulationError(
+                    "reduction circuit stalled the adder tree"
+                )
+        # The last set closes with the last value fed; its flush
+        # finishes the run.
+        cycle = len(feed)
+        while len(reduction.results) < len(sizes):
+            cycle += 1
+            if cycle > max_cycles:
+                raise SimulationError("tree datapath failed to complete")
+            reduction.cycle()
+        return reduction.results, cycle
+
+
+class DotProductDesign(TreeDatapath):
+    """Tree architecture for dot product.
 
     Parameters
     ----------
@@ -102,16 +207,8 @@ class DotProductDesign:
 
     def __init__(self, k: int = 2, alpha_mul: int = 11, alpha_add: int = 14,
                  words_per_cycle: Optional[float] = None) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.alpha_mul = alpha_mul
-        self.alpha_add = alpha_add
-        self.tree_levels = max(0, math.ceil(math.log2(k))) if k > 1 else 0
-        self.tree_latency = self.tree_levels * alpha_add
+        super().__init__(k, alpha_mul, alpha_add)
         self.words_per_cycle = words_per_cycle if words_per_cycle else 2.0 * k
-        self.num_multipliers = k
-        self.num_tree_adders = k - 1
 
     def tree_partials(self, u: np.ndarray,
                       v: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -133,69 +230,19 @@ class DotProductDesign:
         np.multiply(u, v, out=products[:n])
         return n, fold_columns(products.reshape(rows, k))
 
-    def run(self, u: np.ndarray, v: np.ndarray) -> DotProductRun:
-        """Simulate ``u · v`` cycle by cycle."""
+    def run(self, u: np.ndarray, v: np.ndarray,
+            sim_mode: str = "cycle") -> DotProductRun:
+        """Simulate ``u · v``: the tree-root partials form one set."""
         n, partials = self.tree_partials(u, v)
-        k = self.k
         rows = len(partials)
-        values = partials.tolist()
-
-        # Lockstep pipelines: the k multipliers as one k-wide pipeline,
-        # the adder tree as one pipeline of tree_latency cycles.  Each
-        # slot carries the group's tree-root value and its last flag.
-        mult_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
-            [None] * self.alpha_mul, maxlen=self.alpha_mul
-        )
-        tree_len = max(1, self.tree_latency)
-        tree_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
-            [None] * tree_len, maxlen=tree_len
-        )
-        reduction = SingleAdderReduction(alpha=self.alpha_add)
-
-        cycle = 0
-        row = 0
-        tokens = 0.0
-        words_read = 0
-        max_cycles = 50 * (rows + 1) * max(1, int(2 * k / self.words_per_cycle)) \
-            + 100 * self.alpha_add ** 2 + 1000
-        while not reduction.results:
-            cycle += 1
-            if cycle > max_cycles:
-                raise SimulationError("dot product design failed to complete")
-            tokens = min(tokens + self.words_per_cycle, 4 * k)
-
-            # Tree root output feeds the reduction circuit.
-            tree_out = tree_pipe.popleft()
-            if tree_out is not None:
-                value, last = tree_out
-                accepted = reduction.cycle(value, last)
-                if not accepted:
-                    raise SimulationError(
-                        "reduction circuit stalled the adder tree"
-                    )
-            else:
-                reduction.cycle()
-
-            # Multiplier outputs enter the adder tree.
-            mult_out = mult_pipe.popleft()
-            tree_pipe.append(mult_out)
-
-            # Memory side: read k pairs and issue k multiplications.
-            if row < rows and tokens >= 2 * k:
-                tokens -= 2 * k
-                words_read += 2 * k
-                mult_pipe.append((values[row], row == rows - 1))
-                row += 1
-            else:
-                mult_pipe.append(None)
-
-        result = reduction.results[0]
+        results, cycles = self.stream(partials, (rows,), sim_mode,
+                                      words_per_cycle=self.words_per_cycle)
         return DotProductRun(
-            result=result.value,
+            result=results[0].value,
             n=n,
-            k=k,
-            total_cycles=cycle,
+            k=self.k,
+            total_cycles=cycles,
             input_cycles=rows,
             flops=2 * n,
-            words_read=words_read,
+            words_read=rows * 2 * self.k,
         )

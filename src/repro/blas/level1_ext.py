@@ -27,11 +27,14 @@ from typing import Deque, Optional, Tuple
 
 import numpy as np
 
-from repro.blas.level1 import DotProductDesign, DotProductRun, _tree_fold
+from repro.blas.level1 import (
+    DotProductDesign,
+    DotProductRun,
+    TreeDatapath,
+    fold_columns,
+)
 from repro.fparith.softfloat import float_sqrt
 from repro.fparith.units import FPUnitSpec
-from repro.reduction.single_adder import SingleAdderReduction
-from repro.sim.engine import SimulationError
 
 #: A pipelined square-root unit in the spirit of the Table 2 cores
 #: (deeply pipelined; area comparable to the divider class of units).
@@ -150,15 +153,12 @@ class ScalDesign:
                          flops=n, words_read=n, words_written=n)
 
 
-class AsumDesign:
+class AsumDesign(TreeDatapath):
     """Σ|xᵢ| on the dot-product datapath (sign strip is free)."""
 
     def __init__(self, k: int = 2, alpha_add: int = 14) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.alpha_add = alpha_add
-        self.tree_levels = max(0, math.ceil(math.log2(k))) if k > 1 else 0
+        # |x| masks the sign bit: no multiplier stage ahead of the tree.
+        super().__init__(k, alpha_mul=0, alpha_add=alpha_add)
 
     def run(self, x: np.ndarray) -> DotProductRun:
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -167,39 +167,14 @@ class AsumDesign:
             raise ValueError("vector must be non-empty")
         k = self.k
         groups = math.ceil(n / k)
-        if n % k:
-            x = np.concatenate([x, np.zeros(groups * k - n)])
-        tree_len = max(1, self.tree_levels * self.alpha_add)
-        tree_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
-            [None] * tree_len, maxlen=tree_len)
-        reduction = SingleAdderReduction(alpha=self.alpha_add)
-        cycle = 0
-        group = 0
-        words_read = 0
-        max_cycles = 4 * groups + 100 * self.alpha_add ** 2 + 1000
-        while not reduction.results:
-            cycle += 1
-            if cycle > max_cycles:
-                raise SimulationError("asum design failed to complete")
-            out = tree_pipe.popleft()
-            if out is not None:
-                value, last = out
-                if not reduction.cycle(value, last):
-                    raise SimulationError("reduction circuit stalled")
-            else:
-                reduction.cycle()
-            if group < groups:
-                lo = group * k
-                # |x|: clear the sign bit — zero-latency in hardware.
-                partial = _tree_fold(list(np.abs(x[lo:lo + k])))
-                tree_pipe.append((partial, group == groups - 1))
-                words_read += k
-                group += 1
-            else:
-                tree_pipe.append(None)
-        return DotProductRun(result=reduction.results[0].value, n=n, k=k,
-                             total_cycles=cycle, input_cycles=groups,
-                             flops=n, words_read=words_read)
+        # |x|: clear the sign bit — zero-latency in hardware.
+        lanes = np.zeros(groups * k)
+        np.abs(x, out=lanes[:n])
+        results, cycles = self.stream(
+            fold_columns(lanes.reshape(groups, k)), (groups,))
+        return DotProductRun(result=results[0].value, n=n, k=k,
+                             total_cycles=cycles, input_cycles=groups,
+                             flops=n, words_read=groups * k)
 
 
 @dataclass

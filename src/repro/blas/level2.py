@@ -31,9 +31,9 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blas.level1 import fold_columns
-from repro.reduction.single_adder import SingleAdderReduction
+from repro.blas.level1 import TreeDatapath, fold_columns
 from repro.sim.engine import SimulationError
+from repro.sim.fast import check_sim_mode
 
 
 class MvmHazardError(SimulationError):
@@ -77,21 +77,27 @@ class MvmRun:
         return total * word_bytes * clock_mhz * 1e6 / self.total_cycles / 1e9
 
 
-class TreeMvmDesign:
+def _matrix_operands(A: np.ndarray,
+                     x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``A`` and ``x`` as float64, checked for a non-empty A whose
+    columns match x."""
+    A = np.asarray(A, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    nrows, ncols = A.shape
+    if nrows == 0 or ncols == 0:
+        raise ValueError("matrix dimensions must be positive")
+    if ncols != len(x):
+        raise ValueError("dimension mismatch")
+    return A, x
+
+
+class TreeMvmDesign(TreeDatapath):
     """Row-major MVM: tree architecture + reduction circuit."""
 
     def __init__(self, k: int = 4, alpha_mul: int = 11, alpha_add: int = 14,
                  bram_words: Optional[int] = None) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.alpha_mul = alpha_mul
-        self.alpha_add = alpha_add
-        self.tree_levels = max(0, math.ceil(math.log2(k))) if k > 1 else 0
-        self.tree_latency = self.tree_levels * alpha_add
+        super().__init__(k, alpha_mul, alpha_add)
         self.bram_words = bram_words
-        self.num_multipliers = k
-        self.num_tree_adders = k - 1
 
     def _check_local_storage(self, nwords: int) -> None:
         if self.bram_words is not None and nwords > self.bram_words:
@@ -108,11 +114,8 @@ class TreeMvmDesign:
         tree's association order.  The multipliers and the tree hold no
         state across groups, so both sim modes compute these once per
         call."""
-        A = np.asarray(A, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64).ravel()
+        A, x = _matrix_operands(A, x)
         nrows, ncols = A.shape
-        if ncols != len(x):
-            raise ValueError("dimension mismatch")
         self._check_local_storage(len(x))
         k = self.k
         groups = math.ceil(ncols / k)
@@ -121,64 +124,25 @@ class TreeMvmDesign:
         partials = fold_columns(products.reshape(nrows * groups, k))
         return ncols, partials.reshape(nrows, groups)
 
-    def run(self, A: np.ndarray, x: np.ndarray) -> MvmRun:
-        """Simulate y = A·x with x resident in local storage."""
+    def run(self, A: np.ndarray, x: np.ndarray,
+            sim_mode: str = "cycle") -> MvmRun:
+        """Simulate y = A·x with x resident in local storage: each row
+        is one set of n/k tree-root values, and the k multipliers read
+        only A from memory."""
         ncols, partials = self.tree_partials(A, x)
         nrows, groups = partials.shape
-        k = self.k
-        values = partials.ravel().tolist()
-
-        # Each pipeline slot carries a (matrix row, k-group) work item:
-        # its tree-root value and whether it closes the row.
-        mult_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
-            [None] * self.alpha_mul, maxlen=self.alpha_mul
-        )
-        tree_len = max(1, self.tree_latency)
-        tree_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
-            [None] * tree_len, maxlen=tree_len
-        )
-        reduction = SingleAdderReduction(alpha=self.alpha_add)
-
-        cycle = 0
-        total_rows = len(values)
-        item = 0
-        words_read = 0
-        max_cycles = 4 * total_rows + 100 * self.alpha_add ** 2 + 1000
-        while len(reduction.results) < nrows:
-            cycle += 1
-            if cycle > max_cycles:
-                raise SimulationError("tree MVM failed to complete")
-
-            tree_out = tree_pipe.popleft()
-            if tree_out is not None:
-                value, last = tree_out
-                if not reduction.cycle(value, last):
-                    raise SimulationError(
-                        "reduction circuit stalled the adder tree"
-                    )
-            else:
-                reduction.cycle()
-
-            tree_pipe.append(mult_pipe.popleft())
-
-            if item < total_rows:
-                # k multipliers: A elements from memory, x from local
-                # storage (no external reads for x).
-                words_read += k
-                mult_pipe.append((values[item], (item + 1) % groups == 0))
-                item += 1
-            else:
-                mult_pipe.append(None)
-
+        results, cycles = self.stream(partials.ravel(), (groups,) * nrows,
+                                      sim_mode)
         y = np.zeros(nrows)
-        for res in reduction.results:
+        for res in results:
             y[res.set_id] = res.value
-        return MvmRun(y=y, n=max(nrows, ncols), k=k, total_cycles=cycle,
-                      flops=2 * nrows * ncols, words_read=words_read,
+        return MvmRun(y=y, n=max(nrows, ncols), k=self.k,
+                      total_cycles=cycles, flops=2 * nrows * ncols,
+                      words_read=nrows * groups * self.k,
                       words_written=nrows, architecture="tree")
 
-    def run_blocked(self, A: np.ndarray, x: np.ndarray,
-                    b: int) -> MvmRun:
+    def run_blocked(self, A: np.ndarray, x: np.ndarray, b: int,
+                    sim_mode: str = "cycle") -> MvmRun:
         """Block MVM for x too large for on-chip memory.
 
         A is partitioned into column blocks of width b; each x block is
@@ -187,8 +151,7 @@ class TreeMvmDesign:
         processor), costing one read + one write of y per block beyond
         the first — counted in the traffic totals.
         """
-        A = np.asarray(A, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64).ravel()
+        A, x = _matrix_operands(A, x)
         nrows, ncols = A.shape
         if b < 1:
             raise ValueError("block width must be positive")
@@ -200,7 +163,7 @@ class TreeMvmDesign:
         words_written = 0
         for blk in range(nblocks):
             lo, hi = blk * b, min((blk + 1) * b, ncols)
-            sub = self.run(A[:, lo:hi], x[lo:hi])
+            sub = self.run(A[:, lo:hi], x[lo:hi], sim_mode=sim_mode)
             cycles += sub.total_cycles
             words_read += sub.words_read + (hi - lo)  # + x block load
             words_written += nrows
@@ -226,17 +189,19 @@ class ColumnMajorMvmDesign:
         self.alpha_add = alpha_add
         self.bram_words = bram_words
 
-    def run(self, A: np.ndarray, x: np.ndarray) -> MvmRun:
+    def run(self, A: np.ndarray, x: np.ndarray,
+            sim_mode: str = "cycle") -> MvmRun:
         """Simulate y = A·x reading A in column-major order.
 
         Raises :class:`MvmHazardError` when n/k is smaller than the
         adder pipeline depth — the hazard condition of Section 4.2.
+        ``sim_mode="fast"`` checks that condition in closed form and
+        accumulates the columns as one sweep, in the stepped loop's
+        per-element operand order.
         """
-        A = np.asarray(A, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64).ravel()
+        check_sim_mode(sim_mode)
+        A, x = _matrix_operands(A, x)
         nrows, ncols = A.shape
-        if ncols != len(x):
-            raise ValueError("dimension mismatch")
         if self.bram_words is not None and nrows > self.bram_words:
             raise MemoryError(
                 f"intermediate y of {nrows} words exceeds on-chip storage; "
@@ -247,65 +212,78 @@ class ColumnMajorMvmDesign:
         padded_rows = groups * k
         if nrows % k:
             A = np.vstack([A, np.zeros((padded_rows - nrows, ncols))])
-
         # y intermediate storage, striped: lane p owns rows p, k+p, …
         y = np.zeros(padded_rows)
-        # In-flight adder updates: per row slot, the landing cycle.
-        inflight: dict = {}
-        # Pipeline of pending updates: (land_cycle, rows, values)
-        add_pipe: Deque[Tuple[int, np.ndarray, np.ndarray]] = deque()
 
-        cycle = 0
-        words_read = 0
-        total_steps = ncols * groups
-        latency = self.alpha_mul + self.alpha_add
+        if sim_mode == "fast":
+            # The stepped loop's first re-touch of a y row happens at
+            # cycle groups + 1 while its previous update lands at
+            # 1 + alpha_add; landing pops run before the check, so
+            # groups == alpha_add is forwarded and only
+            # groups < alpha_add faults.
+            if ncols >= 2 and groups < self.alpha_add:
+                raise MvmHazardError(
+                    f"row 0 updated at cycle {groups + 1} while its "
+                    f"previous update lands at cycle {1 + self.alpha_add}; "
+                    f"n/k = {groups} <= adder depth {self.alpha_add}"
+                )
+            # Hazard-freedom means every update landed before the next
+            # touch, so the accumulation is a plain per-column sweep.
+            for col in range(ncols):
+                y += A[:, col] * x[col]
+            cycle = ncols * groups + self.alpha_add + self.alpha_mul
+        else:
+            # In-flight adder updates: per row slot, the landing cycle.
+            inflight: dict = {}
+            # Pipeline of pending updates: (land_cycle, rows, values)
+            add_pipe: Deque[Tuple[int, np.ndarray, np.ndarray]] = deque()
+            cycle = 0
+            for step in range(ncols * groups):
+                cycle += 1
+                # Land updates whose pipelines completed (forwarding:
+                # land before this cycle's issue reads).
+                while add_pipe and add_pipe[0][0] <= cycle:
+                    _, rows_idx, vals = add_pipe.popleft()
+                    y[rows_idx] = vals
+                    for r in rows_idx:
+                        inflight.pop(int(r), None)
 
-        for step in range(total_steps):
-            cycle += 1
-            # Land updates whose pipelines completed (forwarding: land
-            # before this cycle's issue reads).
-            while add_pipe and add_pipe[0][0] <= cycle:
-                _, rows_idx, vals = add_pipe.popleft()
-                y[rows_idx] = vals
+                col, group = divmod(step, groups)
+                rows_idx = np.arange(group * k, group * k + k)
                 for r in rows_idx:
-                    inflight.pop(int(r), None)
+                    if int(r) in inflight:
+                        raise MvmHazardError(
+                            f"row {int(r)} updated at cycle {cycle} while "
+                            f"its previous update lands at cycle "
+                            f"{inflight[int(r)]}; n/k = {groups} <= adder "
+                            f"depth {self.alpha_add}"
+                        )
+                products = A[rows_idx, col] * x[col]
+                new_vals = y[rows_idx] + products
+                land = cycle + self.alpha_add
+                add_pipe.append((land, rows_idx, new_vals))
+                for r in rows_idx:
+                    inflight[int(r)] = land
 
-            col, group = divmod(step, groups)
-            rows_idx = np.arange(group * k, group * k + k)
-            for r in rows_idx:
-                if int(r) in inflight:
-                    raise MvmHazardError(
-                        f"row {int(r)} updated at cycle {cycle} while its "
-                        f"previous update lands at cycle {inflight[int(r)]}; "
-                        f"n/k = {groups} <= adder depth {self.alpha_add}"
-                    )
-            products = A[rows_idx, col] * x[col]
-            words_read += k  # A elements; x is read once per column
-            if group == 0:
-                words_read += 1  # the x element for this column
-            new_vals = y[rows_idx] + products
-            land = cycle + self.alpha_add
-            add_pipe.append((land, rows_idx, new_vals))
-            for r in rows_idx:
-                inflight[int(r)] = land
+            # Drain the pipelines.
+            while add_pipe:
+                land, rows_idx, vals = add_pipe.popleft()
+                cycle = max(cycle, land)
+                y[rows_idx] = vals
+            cycle += self.alpha_mul  # multiplier fill at the start
 
-        # Drain the pipelines.
-        while add_pipe:
-            land, rows_idx, vals = add_pipe.popleft()
-            cycle = max(cycle, land)
-            y[rows_idx] = vals
-        cycle += self.alpha_mul  # multiplier fill at the start
-
+        # k A elements per cycle; each x element is read once, with
+        # its column's first group.
         return MvmRun(y=y[:nrows], n=max(nrows, ncols), k=k,
                       total_cycles=cycle, flops=2 * nrows * ncols,
-                      words_read=words_read, words_written=nrows,
-                      architecture="column-major")
+                      words_read=ncols * groups * k + ncols,
+                      words_written=nrows, architecture="column-major")
 
-    def run_blocked(self, A: np.ndarray, x: np.ndarray, b: int) -> MvmRun:
+    def run_blocked(self, A: np.ndarray, x: np.ndarray, b: int,
+                    sim_mode: str = "cycle") -> MvmRun:
         """Block MVM for y too large for on-chip memory: row blocks of
         height b, each streamed column-major against the full x."""
-        A = np.asarray(A, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64).ravel()
+        A, x = _matrix_operands(A, x)
         nrows, ncols = A.shape
         if b < 1:
             raise ValueError("block height must be positive")
@@ -316,7 +294,7 @@ class ColumnMajorMvmDesign:
         words_written = 0
         for blk in range(nblocks):
             lo, hi = blk * b, min((blk + 1) * b, nrows)
-            sub = self.run(A[lo:hi, :], x)
+            sub = self.run(A[lo:hi, :], x, sim_mode=sim_mode)
             parts.append(sub.y)
             cycles += sub.total_cycles
             words_read += sub.words_read

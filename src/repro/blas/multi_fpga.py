@@ -28,12 +28,14 @@ inter-FPGA bandwidth 3kl/b words/cycle; per-FPGA SRAM bandwidth
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
 
 from repro.blas.level3 import MatrixMultiplyDesign
 from repro.sim.engine import SimulationError
+from repro.sim.fast import check_sim_mode
 
 
 @dataclass
@@ -78,6 +80,28 @@ class MultiFpgaRun:
                               word_bytes: int = 8) -> float:
         return (self.dram_words * word_bytes * clock_mhz * 1e6
                 / self.total_cycles / 1e6)
+
+
+@lru_cache(maxsize=16)
+def _slab_matmul_consistent(rows: int, m: int) -> bool:
+    """Self-calibration: the gang fast path computes each z-slab as one
+    ``(rows×m) @ (m×rows)`` matmul instead of ``(rows/m)²`` separate
+    ``m×m`` matmuls.  Both are length-``m`` inner sums per output
+    element, and every BLAS we have met accumulates them identically —
+    but that is a library property, not a language guarantee, so we
+    verify it once per geometry on deterministic noise and step the
+    block products if it ever fails."""
+    idx = np.arange(rows * m, dtype=np.float64)
+    a = np.sin(idx).reshape(rows, m)
+    b = np.cos(idx).reshape(m, rows)
+    slab = a @ b
+    for g in range(rows // m):
+        gs = slice(g * m, (g + 1) * m)
+        for h in range(rows // m):
+            hs = slice(h * m, (h + 1) * m)
+            if not np.array_equal(slab[gs, hs], a[gs, :] @ b[:, hs]):
+                return False
+    return True
 
 
 class MultiFpgaMatrixMultiply:
@@ -139,8 +163,17 @@ class MultiFpgaMatrixMultiply:
         return n ** 3 // (self.k * self.l)
 
     # -------------------------------------------------------------------
-    def run(self, A: np.ndarray, B: np.ndarray) -> MultiFpgaRun:
-        """Simulate C = A·B on the FPGA array (n a multiple of b)."""
+    def run(self, A: np.ndarray, B: np.ndarray,
+            sim_mode: str = "cycle") -> MultiFpgaRun:
+        """Simulate C = A·B on the FPGA array (n a multiple of b).
+
+        Cycle mode steps every m-block MAC of every FPGA.
+        ``sim_mode="fast"`` computes each z-slab as one matmul, in the
+        same (q, z) accumulation order, and the per-FPGA MAC census in
+        closed form; it steps instead when the slab self-check fails
+        for this geometry.
+        """
+        check_sim_mode(sim_mode)
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
         if A.ndim != 2 or A.shape != B.shape or A.shape[0] != A.shape[1]:
@@ -151,6 +184,7 @@ class MultiFpgaMatrixMultiply:
             raise ValueError(f"n = {n} must be a multiple of b = {b}")
         nb = n // b      # b-blocks per dimension
         bm = b // m      # m-blocks per b-block dimension
+        slabs = sim_mode == "fast" and _slab_matmul_consistent(b, m)
 
         C = np.zeros((n, n))
         dram_words = 0
@@ -169,6 +203,11 @@ class MultiFpgaMatrixMultiply:
                     # FPGA_f owns m-block-columns h ≡ f (mod l).
                     for z in range(bm):
                         b_row = b_big[z * m:(z + 1) * m, :]
+                        if slabs:
+                            # Every (g, h) block product of this z at
+                            # once: the same length-m inner sums.
+                            c_big += a_big[:, z * m:(z + 1) * m] @ b_row
+                            continue
                         for g in range(bm):
                             a_blk = a_big[g * m:(g + 1) * m,
                                           z * m:(z + 1) * m]
@@ -187,6 +226,10 @@ class MultiFpgaMatrixMultiply:
                 C[i * b:(i + 1) * b, j * b:(j + 1) * b] = c_big
                 dram_words += b * b          # C written back
                 link_words += b * b * (l - 1)  # C marches left
+        if slabs:
+            # Each (i, j, q, z, g) reaches the h ≡ f (mod l) blocks.
+            fpga_block_macs = [nb ** 3 * bm * bm * len(range(f, bm, l))
+                               for f in range(l)]
 
         total_block_macs = sum(fpga_block_macs)
         # FPGAs run concurrently: each executes its share back to back.

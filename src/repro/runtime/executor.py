@@ -260,10 +260,7 @@ class BlasRuntime:
         #: "fast" uses the proven-equivalent fast paths.  Charged
         #: cycles, results and metrics are identical either way — the
         #: differential harness enforces it — so only wall time changes.
-        if sim_mode not in fastsim.SIM_MODES:
-            raise ValueError(
-                f"unknown sim mode {sim_mode!r}; expected one of "
-                f"{fastsim.SIM_MODES}")
+        fastsim.check_sim_mode(sim_mode)
         self.sim_mode = sim_mode
         self.fault_plan = fault_plan
         #: The fault hook; None on a fault-free run so every fault path

@@ -66,7 +66,7 @@ from repro.serve import protocol
 from repro.serve.coalescer import CoalesceStats, coalesce
 from repro.serve.tenant import (AdmissionController, TenantQuota,
                                 weighted_deficit_order)
-from repro.sim.fast import SIM_MODES
+from repro.sim.fast import check_sim_mode
 from repro.workloads import poisson_2d
 
 #: Stream buffer limit for the TCP layer: a drain response carries one
@@ -116,10 +116,7 @@ class ServeConfig:
         if self.clock_mode not in ("virtual", "hybrid"):
             raise ValueError(
                 "clock_mode must be 'virtual' or 'hybrid'")
-        if self.sim_mode not in SIM_MODES:
-            raise ValueError(
-                f"unknown sim mode {self.sim_mode!r}; expected one of "
-                f"{SIM_MODES}")
+        check_sim_mode(self.sim_mode)
 
 
 @dataclass

@@ -11,11 +11,12 @@ The kernel plays the role ModelSim played for the paper's VHDL designs:
 all architectural claims (hazard freedom, buffer bounds, latency
 formulas) are *executed* on this substrate rather than merely computed.
 
-:mod:`repro.sim.fast` adds the calibrated fast mode (``--sim-mode
-fast``): analytic fast-forward and vectorized recorded schedules that
-are proven byte-identical to this substrate by the differential
-harness.  It is imported on demand (``from repro.sim import fast``)
-rather than here, because it layers on top of the BLAS designs.
+:mod:`repro.sim.fast` holds what the calibrated fast mode
+(``--sim-mode fast``) replays: the reduction circuit's recorded
+schedules, proven byte-identical to this substrate by the differential
+harness.  Each BLAS design runs both modes behind its own
+``run(..., sim_mode=)`` and imports that module; it is imported on
+demand (``from repro.sim import fast``) rather than here.
 """
 
 from repro.sim.engine import Component, Simulator, SimulationError

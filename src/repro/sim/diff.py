@@ -1,7 +1,8 @@
 """Differential comparator: fast mode vs the cycle-accurate substrate.
 
-The fast path (:mod:`repro.sim.fast`) claims *byte-identical* results
-and *identical* charged cycles.  This module is the proof apparatus:
+Each design's fast branch (``run(..., sim_mode="fast")``, reached
+through :mod:`repro.sim.fast`) claims *byte-identical* results and
+*identical* charged cycles.  This module is the proof apparatus:
 it compares whole Run objects field by field (arrays bytewise — no
 tolerance, ``==`` on floats is the contract), and it can sweep a shape
 grid under both modes producing the machine-readable comparison report

@@ -17,16 +17,12 @@ come from recovering.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.blas.level1 import fold_columns
-from repro.reduction.single_adder import SingleAdderReduction
-from repro.sim.engine import SimulationError
+from repro.blas.level1 import TreeDatapath, fold_columns
 from repro.sparse.csr import CsrMatrix
 
 
@@ -93,19 +89,13 @@ def chunk_partials(matrix: CsrMatrix, x: np.ndarray,
     return nonempty, sizes, fold_columns(table)
 
 
-class SpmxvDesign:
-    """Cycle-accurate tree-architecture SpMXV over CRS input."""
+class SpmxvDesign(TreeDatapath):
+    """Tree-architecture SpMXV over CRS input."""
 
     def __init__(self, k: int = 4, alpha_mul: int = 11,
                  alpha_add: int = 14,
                  bram_words: Optional[int] = None) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.alpha_mul = alpha_mul
-        self.alpha_add = alpha_add
-        self.tree_levels = max(0, math.ceil(math.log2(k))) if k > 1 else 0
-        self.tree_latency = self.tree_levels * alpha_add
+        super().__init__(k, alpha_mul, alpha_add)
         self.bram_words = bram_words
 
     def tree_partials(self, matrix: CsrMatrix, x: np.ndarray
@@ -124,54 +114,17 @@ class SpmxvDesign:
             )
         return chunk_partials(matrix, x, self.k)
 
-    def run(self, matrix: CsrMatrix, x: np.ndarray) -> SpmxvRun:
+    def run(self, matrix: CsrMatrix, x: np.ndarray,
+            sim_mode: str = "cycle") -> SpmxvRun:
+        """Simulate y = A·x.  Each non-empty row streams as one set of
+        its chunks' tree-root values, and each chunk reads k (value,
+        column) pairs; empty rows never enter the datapath."""
         nonempty, sizes, partials = self.tree_partials(matrix, x)
-        k = self.k
-        # Work list: one (tree-root value, closes-its-row) per chunk;
-        # empty rows never enter the datapath.
-        closes = np.zeros(len(partials), dtype=bool)
-        closes[np.cumsum(sizes) - 1] = True
-        chunks = list(zip(partials.tolist(), closes.tolist()))
-
-        mult_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
-            [None] * self.alpha_mul, maxlen=self.alpha_mul
-        )
-        tree_len = max(1, self.tree_latency)
-        tree_pipe: Deque[Optional[Tuple[float, bool]]] = deque(
-            [None] * tree_len, maxlen=tree_len
-        )
-        reduction = SingleAdderReduction(alpha=self.alpha_add)
-
-        cycle = 0
-        item = 0
-        words_read = 0
-        expected = len(nonempty)
-        max_cycles = 4 * len(chunks) + 100 * self.alpha_add ** 2 + 1000
-        while len(reduction.results) < expected:
-            cycle += 1
-            if cycle > max_cycles:
-                raise SimulationError("SpMXV design failed to complete")
-            tree_out = tree_pipe.popleft()
-            if tree_out is not None:
-                value, is_last = tree_out
-                if not reduction.cycle(value, is_last):
-                    raise SimulationError(
-                        "reduction circuit stalled the adder tree"
-                    )
-            else:
-                reduction.cycle()
-            tree_pipe.append(mult_pipe.popleft())
-            if item < len(chunks):
-                mult_pipe.append(chunks[item])
-                # k (value, column) pairs read per cycle.
-                words_read += 2 * k
-                item += 1
-            else:
-                mult_pipe.append(None)
-
+        results, cycles = self.stream(partials, sizes, sim_mode)
         # Sets are numbered in arrival order: the non-empty rows.
         y = np.zeros(matrix.nrows)
-        for res in reduction.results:
+        for res in results:
             y[nonempty[res.set_id]] = res.value
-        return SpmxvRun(y=y, nrows=matrix.nrows, nnz=matrix.nnz, k=k,
-                        total_cycles=cycle, words_read=words_read)
+        return SpmxvRun(y=y, nrows=matrix.nrows, nnz=matrix.nnz, k=self.k,
+                        total_cycles=cycles,
+                        words_read=2 * self.k * len(partials))

@@ -1,17 +1,22 @@
-"""Golden digests of the cycle-mode dot, tree-gemv and spmxv runs.
+"""Golden digests of the tree kernels, column-major gemv and the gang.
 
 The fast-vs-cycle differential harness compares two modes that share
 each kernel's front end (validation, lane padding, the multiplier
 products and the adder-tree fold), so a change to that front end moves
 both modes alike and passes it.  These tests pin the sha256 of every
-field of each ``DotProductRun``, ``MvmRun`` and ``SpmxvRun`` on an
-edge grid — k = 1, odd k, n not a multiple of k, a throttled dot,
-blocked gemv, empty sparse rows — so the values and cycle counts must
-match the code that recorded them.  Every case that fast mode accepts
-must produce the same digest there too.
+field of each ``DotProductRun``, ``MvmRun``, ``SpmxvRun`` and
+``MultiFpgaRun`` on an edge grid — k = 1, odd k, n not a multiple of
+k, a throttled dot, blocked gemv in both storage orders, empty sparse
+rows, asum, gangs with one and two b-blocks per side — so the values
+and cycle counts must match the code that recorded them.  Every case
+must produce the same digest in both sim modes, except asum, which has
+no fast mode.
 
 Operands come from integer arithmetic and one IEEE division each, not
-from an RNG, so the digests hold on any host and NumPy version.
+from an RNG, so the digests hold on any host and NumPy version.  The
+gang's operands are small integers: every product and partial sum is
+then exact, so its digests do not depend on the BLAS kernel that
+computes the block products.
 """
 
 import dataclasses
@@ -22,8 +27,9 @@ import numpy as np
 import pytest
 
 from repro.blas.level1 import DotProductDesign
-from repro.blas.level2 import TreeMvmDesign
-from repro.sim import fast
+from repro.blas.level1_ext import AsumDesign
+from repro.blas.level2 import ColumnMajorMvmDesign, TreeMvmDesign
+from repro.blas.multi_fpga import MultiFpgaMatrixMultiply
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.spmxv import SpmxvDesign
 from repro.workloads import poisson_2d
@@ -32,6 +38,12 @@ from repro.workloads import poisson_2d
 def _vec(n, salt):
     return np.array([((i * 7919 + salt) % 1009 - 504) / 1013
                      for i in range(n)])
+
+
+def _int_matrix(n, salt):
+    """n×n of small integers in [-8, 8]."""
+    return np.array([(i * 7919 + salt) % 17 - 8
+                     for i in range(n * n)], dtype=np.float64).reshape(n, n)
 
 
 def _digest(run):
@@ -71,6 +83,13 @@ GEMV_NS = (5, 64, 250)
 SPMXV_KS = (1, 3, 4, 8)
 SPARSE = {"poisson12": lambda: poisson_2d(12),
           "empty_rows": _sparse_with_empty_rows}
+COLUMN_KS = (1, 2, 4, 8)
+COLUMN_NCOLS = 37
+ASUM_KS = (1, 2, 3, 4, 8)
+ASUM_NS = (1, 7, 64, 1000)
+#: (n, l, k, m, b); two of them have two b-blocks per side.
+GANGS = ((64, 2, 8, 8, 64), (64, 4, 8, 16, 64), (128, 3, 8, 16, 64),
+         (96, 6, 4, 8, 48), (128, 1, 8, 32, 128))
 
 
 def _dot_design(k, throttled):
@@ -87,6 +106,11 @@ def _gemv_operands(n):
     return _vec(n * n, 17).reshape(n, n), _vec(n, 211)
 
 
+def _column_operands(nrows):
+    return (_vec(nrows * COLUMN_NCOLS, 23).reshape(nrows, COLUMN_NCOLS),
+            _vec(COLUMN_NCOLS, 307))
+
+
 def _cases():
     for k in DOT_KS:
         for n in DOT_NS:
@@ -101,6 +125,18 @@ def _cases():
     for k in SPMXV_KS:
         for name in sorted(SPARSE):
             yield f"spmxv-k{k}-{name}", ("spmxv", k, name, None)
+    # Column-major gemv, every case hazard-free (n/k >= alpha_add).
+    for k in COLUMN_KS:
+        for nrows in (14 * k, 20 * k + 3, 256):
+            yield (f"gemv-column-k{k}-r{nrows}",
+                   ("gemv-column", k, nrows, None))
+        yield (f"gemv-column-k{k}-r256-b{16 * k}",
+               ("gemv-column", k, 256, 16 * k))
+    for n, l, k, m, b in GANGS:
+        yield f"gang-n{n}-l{l}-k{k}-m{m}-b{b}", ("gang", k, n, (l, m, b))
+    for k in ASUM_KS:
+        for n in ASUM_NS:
+            yield f"asum-k{k}-n{n}", ("asum", k, n, None)
 
 
 CASES = dict(_cases())
@@ -110,26 +146,72 @@ def _run(case, mode):
     """The case's run object, stepped (``cycle``) or fast-forwarded."""
     op, k, size, extra = CASES[case]
     if op == "dot":
-        design = _dot_design(k, throttled=extra)
         u, v = _dot_operands(size)
-        return design.run(u, v) if mode == "cycle" \
-            else fast.fast_dot(design, u, v)
-    if op == "gemv":
-        design = TreeMvmDesign(k=k)
-        A, x = _gemv_operands(size)
-        if mode == "fast":
-            return fast.fast_mvm(design, A, x, block=extra)
-        return design.run_blocked(A, x, extra) if extra \
-            else design.run(A, x)
+        return _dot_design(k, throttled=extra).run(u, v, sim_mode=mode)
+    if op in ("gemv", "gemv-column"):
+        if op == "gemv":
+            design = TreeMvmDesign(k=k)
+            A, x = _gemv_operands(size)
+        else:
+            design = ColumnMajorMvmDesign(k=k)
+            A, x = _column_operands(size)
+        if extra:
+            return design.run_blocked(A, x, extra, sim_mode=mode)
+        return design.run(A, x, sim_mode=mode)
+    if op == "gang":
+        l, m, b = extra
+        design = MultiFpgaMatrixMultiply(l=l, k=k, m=m, b=b)
+        return design.run(_int_matrix(size, 5), _int_matrix(size, 13),
+                          sim_mode=mode)
+    if op == "asum":
+        return AsumDesign(k=k).run(_vec(size, 29))
     design = SpmxvDesign(k=k)
     matrix = SPARSE[size]()
-    x = _vec(matrix.ncols, 907)
-    return design.run(matrix, x) if mode == "cycle" \
-        else fast.fast_spmxv(design, matrix, x)
+    return design.run(matrix, _vec(matrix.ncols, 907), sim_mode=mode)
 
 
 #: sha256 of every field of the cycle-mode run, per case.
 GOLDEN = {
+    "asum-k1-n1":
+        "48a0869578934b2fbc96105141b91c3eae6be719dcd1819e661e956b1239bd54",
+    "asum-k1-n1000":
+        "6e0962bc89d93265918393332266d2e915957f231e3c56145120953f738e5071",
+    "asum-k1-n64":
+        "94d01a0c82caef3311d9a6207e595e223eebc2706eebf01950fdc4286a9b7ab5",
+    "asum-k1-n7":
+        "a982d7f9e42d3f0bcd898c0331969d385d7b85420e2622b3d7a2c3ae7dd02721",
+    "asum-k2-n1":
+        "b01bad8a188f64ac20c415c15e4b738578f134b65bf31e0f7aafad88a9bea3e5",
+    "asum-k2-n1000":
+        "1aa62f4ca489020f4b8262b2985506315480644182b4cb26c94b48ce6661413f",
+    "asum-k2-n64":
+        "8c35ddfa66160e66128132f3a76d60c5bd5541fcab901b579de6e498839d5afa",
+    "asum-k2-n7":
+        "daeca552f472c3321f1014819e5264a8e69bac5044d7519744efcc4bbce54106",
+    "asum-k3-n1":
+        "283bf1af943be0ec2482c6f02d7cf890c7460041d44f07fc408db333809ae3d1",
+    "asum-k3-n1000":
+        "5d5c98cd8673637b7ab7066ae43f8a03ddf5834ba9e827db49da3ab35eaf42d1",
+    "asum-k3-n64":
+        "d5fc1552dd291496641e30fa77b5325d92d2afd730c7f921c3d7da5b7b9eca53",
+    "asum-k3-n7":
+        "1c1ff7398770cd0600f8499d1f80ec16b8e496687657613d6e7b77863d015ba4",
+    "asum-k4-n1":
+        "537565aca9c336c122e2676ac5bf8342ebe0bdf66be894450750edb744fd506d",
+    "asum-k4-n1000":
+        "3fef83b5f20b65957334bce31aa043079249ee3f00ce5d0c17b3620b75d1c473",
+    "asum-k4-n64":
+        "b31e6f2a545811875b75007b9e662505f26f4d1b305244072aa8d618c8cd2ba8",
+    "asum-k4-n7":
+        "ef2a9a82650a710d11c97d14e2537ff97139042ee779e1e9de94b0c13559c056",
+    "asum-k8-n1":
+        "92a2bee5fc438ca30cbf62f0e82ae6e7b00a77d8cd075e63ed87194c680ed4f6",
+    "asum-k8-n1000":
+        "5e5d2623ad9b61a5445ba00e2e96bbb0c5846677052089959229e49604992059",
+    "asum-k8-n64":
+        "02496319c734da935bf5b1d536806980f05951a30765f4972354589a6cdeb557",
+    "asum-k8-n7":
+        "30853fb5ffbc2ccd5f55d7a976d06f3fcabc105081ed84a23716b75ab587895d",
     "dot-k1-n1":
         "35ec1d28dfc915ec5ee3452329e09cf39c1411c18245c0bbf11720de7ec04ce2",
     "dot-k1-n1-throttled":
@@ -210,6 +292,48 @@ GOLDEN = {
         "2a823e2fa9fc81ca8e65a38f1cd40b55fa4907d1dab0b6784f21f76b5060958d",
     "dot-k8-n7-throttled":
         "805c2db7d7e28a30213d9695de2b168404140429ae8dca71c458b1f64236cd53",
+    "gang-n128-l1-k8-m32-b128":
+        "5e0067dc3f67d782bdd17544977bac3dd2d5424c300b8c5c53d187d70c9e28f5",
+    "gang-n128-l3-k8-m16-b64":
+        "582e4c4220343a585c449b44097ef58371c378617e4398ddc891a255c96c7234",
+    "gang-n64-l2-k8-m8-b64":
+        "b1001ce54d575de411a1ffab1b0ac11baa51062d26e4a3e59c375dadf46818ff",
+    "gang-n64-l4-k8-m16-b64":
+        "987392d1620f5d93bfbcabac1eaa15446a4da9b9505b3787fcae8140cf5d6da9",
+    "gang-n96-l6-k4-m8-b48":
+        "5c5eea217aa7f665729c4fe944a248dc5cc1475faaae1d782393f28c07118d3d",
+    "gemv-column-k1-r14":
+        "2ef370f1687ddec076fefd213ba09106f7c09827387ecacd150595f1533824f0",
+    "gemv-column-k1-r23":
+        "cf704a37f6750dec162b1d84a58b84722786ef00f94e90a9be53a1fdef70b629",
+    "gemv-column-k1-r256":
+        "ef82a333c61d9f0db498afc661d49f85fbdeab7a4bc7b084ec8a624427e887e7",
+    "gemv-column-k1-r256-b16":
+        "6d7bbe00635ac4630edce5f8a1e4ed9063996d9af967b9e734863fd525223ece",
+    "gemv-column-k2-r256":
+        "ede0d84c9fdaebde2fb4b1adeb458aed55f31b120a101dc7c7175ce2b528a3d0",
+    "gemv-column-k2-r256-b32":
+        "4d57c5dcaa7d7afb9158ed1c4dd3ccb47a4fdc76b55f6b90e63a57ca9f4a54aa",
+    "gemv-column-k2-r28":
+        "6a741d7342d8f8734d7d53c867c222d5c5fbdc505ede6289112c44426236cccf",
+    "gemv-column-k2-r43":
+        "29fb4768f16ab4e8386fe17e71ea4841f550ba3166e83ddfd87f9293b3100b65",
+    "gemv-column-k4-r256":
+        "33ad0fbe07362271e35bcfab537505463b640c0d21a749204ac471ab6ddf2ec8",
+    "gemv-column-k4-r256-b64":
+        "d1c712fad7c55afc2bb62d4538f60a6b2c0288d589646e1c91b1ebb2ae81f486",
+    "gemv-column-k4-r56":
+        "f0a08dd43b6f6622876577b9f86d7271c9d16632274c35806aa983689e59fd44",
+    "gemv-column-k4-r83":
+        "3ed47817c07bfdaa991dcce88c2205ee5a6ef6ebf4205967b7df4471581d7f75",
+    "gemv-column-k8-r112":
+        "a32758dfb6f9405ba6c80dec5caed348ed650942ab343eb08319bc027db66d31",
+    "gemv-column-k8-r163":
+        "14566c15984c9dc6209d27420b3ceeb98065dff494d5d0770857ac743f3c857e",
+    "gemv-column-k8-r256":
+        "ed2ede51d515d8df13290f03917476fdf38f3bc119e9b4c5a753abb07dba86f1",
+    "gemv-column-k8-r256-b128":
+        "0e167312bc3e5b451e3dcce1e1003475ed7ec1a230d886a06267859bce34fb10",
     "gemv-k1-n250":
         "152c68610e428b86f0e29191bd4ca2a901326566da28cbee6483479224da0921",
     "gemv-k1-n250-b64":
@@ -287,20 +411,8 @@ def test_empty_rows_fixture_has_leading_and_trailing_empties():
     assert row_nnz[1:-1].max() > max(SPMXV_KS)
 
 
-def _modes():
-    for case, (op, _k, _size, extra) in sorted(CASES.items()):
-        yield case, "cycle"
-        # Fast mode declines a throttled dot (issue timing then follows
-        # the memory tokens); the test below pins that.
-        if not (op == "dot" and extra):
-            yield case, "fast"
-
-
-def test_fast_dot_declines_a_throttled_design():
-    u, v = _dot_operands(7)
-    assert fast.fast_dot(_dot_design(4, throttled=True), u, v) is None
-
-
-@pytest.mark.parametrize("case,mode", list(_modes()))
+@pytest.mark.parametrize("case, mode", [
+    (case, mode) for case in sorted(CASES) for mode in ("cycle", "fast")
+    if mode == "cycle" or CASES[case][0] != "asum"])
 def test_run_matches_golden_digest(case, mode):
     assert _digest(_run(case, mode)) == GOLDEN[case]

@@ -27,9 +27,14 @@ class TestTreeMvmCorrectness:
         np.testing.assert_allclose(run.y, A @ x, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            TreeMvmDesign().run(rng.standard_normal((4, 4)),
-                                rng.standard_normal(5))
+        A = rng.standard_normal((4, 8))
+        # A longer x too, though run_blocked's column blocks would read
+        # only its first ncols elements.
+        for x in (rng.standard_normal(5), rng.standard_normal(10)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                TreeMvmDesign().run(A, x)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                TreeMvmDesign().run_blocked(A, x, b=4)
 
     def test_local_storage_limit_enforced(self, rng):
         design = TreeMvmDesign(k=4, bram_words=16)

@@ -21,8 +21,14 @@ import numpy as np
 import pytest
 
 from repro.blas import api
-from repro.blas.level2 import MvmHazardError
-from repro.blas.multi_fpga import MultiFpgaMatrixMultiply
+from repro.blas.level1 import DotProductDesign
+from repro.blas.level2 import (
+    ColumnMajorMvmDesign,
+    MvmHazardError,
+    TreeMvmDesign,
+)
+from repro.blas.multi_fpga import (MultiFpgaMatrixMultiply,
+                                   _slab_matmul_consistent)
 from repro.faults import FaultPlan
 from repro.runtime import BlasRuntime, JobState
 from repro.sim import fast as fastsim
@@ -34,6 +40,8 @@ from repro.sim.diff import (
     main as diff_main,
     sweep_case,
 )
+from repro.sparse import CsrMatrix
+from repro.sparse.spmxv import SpmxvDesign
 from repro.workloads import blas_request_mix
 
 # ----------------------------------------------------------------------
@@ -176,16 +184,43 @@ class TestErrorParity:
             messages[mode] = str(excinfo.value)
         assert messages["cycle"] == messages["fast"]
 
+    @pytest.mark.parametrize("mode", ["cycle", "fast"])
+    @pytest.mark.parametrize("shape", [(0, 8), (3, 0)])
+    @pytest.mark.parametrize("design", [TreeMvmDesign(k=4),
+                                        ColumnMajorMvmDesign(k=2)],
+                             ids=["tree", "column"])
+    def test_zero_size_matrix_rejected(self, design, shape, mode):
+        # BlasCall rejects a zero dimension before any design runs; a
+        # direct design call must fail the same way in both modes.
+        with pytest.raises(ValueError,
+                           match="matrix dimensions must be positive"):
+            design.run(np.zeros(shape), np.zeros(shape[1]), sim_mode=mode)
+
     def test_bad_sim_mode_rejected_everywhere(self):
         from repro.serve.server import ServeConfig
 
+        u = np.ones(8)
+        A = np.ones((8, 8))
         for mode in ("warp", "auto"):
-            with pytest.raises(ValueError, match="unknown sim mode"):
-                api.BlasCall("dot", shape=(8,), sim_mode=mode)
-            with pytest.raises(ValueError, match="unknown sim mode"):
-                BlasRuntime(sim_mode=mode)
-            with pytest.raises(ValueError, match="unknown sim mode"):
-                ServeConfig(sim_mode=mode)
+            calls = [
+                lambda: api.BlasCall("dot", shape=(8,), sim_mode=mode),
+                lambda: BlasRuntime(sim_mode=mode),
+                lambda: ServeConfig(sim_mode=mode),
+                lambda: DotProductDesign(k=2).run(u, u, sim_mode=mode),
+                lambda: DotProductDesign(k=2).stream(u, (8,),
+                                                     sim_mode=mode),
+                lambda: SpmxvDesign(k=2).run(CsrMatrix.from_dense(A), u,
+                                             sim_mode=mode),
+                lambda: MultiFpgaMatrixMultiply(l=2, k=2, m=2, b=8).run(
+                    A, A, sim_mode=mode),
+            ]
+            for design in (TreeMvmDesign(k=2), ColumnMajorMvmDesign(k=2)):
+                calls.append(lambda d=design: d.run(A, u, sim_mode=mode))
+                calls.append(lambda d=design: d.run_blocked(
+                    A, u, 4, sim_mode=mode))
+            for call in calls:
+                with pytest.raises(ValueError, match="unknown sim mode"):
+                    call()
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +294,8 @@ def test_gang_benchmark_speedup_gate():
     fast_run = fastsim.fast_multi_fpga_mm(design, A, B)
     fast_s = time.perf_counter() - start
 
-    assert fast_run is not None, "gang fast path declined eligibility"
+    assert _slab_matmul_consistent(design.b, design.m), \
+        "gang fast path declined eligibility"
     mismatches = compare_runs(cycle_run, fast_run)
     assert not mismatches, mismatches
     speedup = cycle_s / fast_s
