@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.reduction.base import ReducedResult
 from repro.reduction.single_adder import SingleAdderReduction
 from repro.sim.engine import SimulationError
 from repro.sim.fast import (back_to_back_pattern, check_sim_mode,
@@ -116,25 +115,27 @@ class TreeDatapath:
     def stream(self, partials: np.ndarray, sizes: Sequence[int],
                sim_mode: str = "cycle",
                words_per_cycle: Optional[float] = None
-               ) -> Tuple[List[ReducedResult], int]:
+               ) -> Tuple[np.ndarray, int]:
         """Run the tree-root values, one k-wide group per cycle, into
         the reduction circuit as back-to-back sets of ``sizes`` values.
 
-        Returns the reduced sets, numbered in arrival order, and the
-        cycle the last one emits.  Each value passes the multiplier
-        pipeline and the adder tree — one delay line of ``alpha_mul +
-        max(1, tree_latency)`` stages, since two chained FIFOs delay
-        like one of the summed length.  ``words_per_cycle`` throttles
-        issue through a token counter capped at 4k: each group reads 2k
-        words (the dot product's memory system).
+        Returns the sets' sums as one float64 array indexed by set id
+        (arrival order), and the cycle the last set emits.  Each value
+        passes the multiplier pipeline and the adder tree — one delay
+        line of ``alpha_mul + max(1, tree_latency)`` stages, since two
+        chained FIFOs delay like one of the summed length.
+        ``words_per_cycle`` throttles issue through a token counter
+        capped at 4k: each group reads 2k words (the dot product's
+        memory system).
 
-        ``sim_mode="cycle"`` steps every cycle.  ``"fast"`` replays the
-        reduction circuit's recorded schedule when issue is back to
-        back, and steps otherwise.
+        ``sim_mode="cycle"`` steps every cycle and fills the array from
+        the circuit's results.  ``"fast"`` replays the reduction
+        circuit's recorded schedule when issue is back to back, which
+        gathers the array in one index, and steps otherwise.
         """
         check_sim_mode(sim_mode)
         if not len(sizes):
-            return [], 0
+            return np.empty(0), 0
         k = self.k
         delay = self.alpha_mul + max(1, self.tree_latency)
         rate = 2.0 * k if words_per_cycle is None else words_per_cycle
@@ -187,7 +188,10 @@ class TreeDatapath:
             if cycle > max_cycles:
                 raise SimulationError("tree datapath failed to complete")
             reduction.cycle()
-        return reduction.results, cycle
+        values = np.empty(len(sizes))
+        for res in reduction.results:
+            values[res.set_id] = res.value
+        return values, cycle
 
 
 class DotProductDesign(TreeDatapath):
@@ -235,10 +239,10 @@ class DotProductDesign(TreeDatapath):
         """Simulate ``u · v``: the tree-root partials form one set."""
         n, partials = self.tree_partials(u, v)
         rows = len(partials)
-        results, cycles = self.stream(partials, (rows,), sim_mode,
-                                      words_per_cycle=self.words_per_cycle)
+        values, cycles = self.stream(partials, (rows,), sim_mode,
+                                     words_per_cycle=self.words_per_cycle)
         return DotProductRun(
-            result=results[0].value,
+            result=float(values[0]),
             n=n,
             k=self.k,
             total_cycles=cycles,

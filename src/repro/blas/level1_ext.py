@@ -170,9 +170,9 @@ class AsumDesign(TreeDatapath):
         # |x|: clear the sign bit — zero-latency in hardware.
         lanes = np.zeros(groups * k)
         np.abs(x, out=lanes[:n])
-        results, cycles = self.stream(
+        values, cycles = self.stream(
             fold_columns(lanes.reshape(groups, k)), (groups,))
-        return DotProductRun(result=results[0].value, n=n, k=k,
+        return DotProductRun(result=float(values[0]), n=n, k=k,
                              total_cycles=cycles, input_cycles=groups,
                              flops=n, words_read=groups * k)
 

@@ -131,11 +131,8 @@ class TreeMvmDesign(TreeDatapath):
         only A from memory."""
         ncols, partials = self.tree_partials(A, x)
         nrows, groups = partials.shape
-        results, cycles = self.stream(partials.ravel(), (groups,) * nrows,
-                                      sim_mode)
-        y = np.zeros(nrows)
-        for res in results:
-            y[res.set_id] = res.value
+        y, cycles = self.stream(partials.ravel(), (groups,) * nrows,
+                                sim_mode)
         return MvmRun(y=y, n=max(nrows, ncols), k=self.k,
                       total_cycles=cycles, flops=2 * nrows * ncols,
                       words_read=nrows * groups * self.k,

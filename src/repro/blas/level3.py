@@ -22,11 +22,13 @@ Claims reproduced by the simulator: effective latency n³/k cycles,
 storage 2m² words, bandwidth 3k/m words/cycle, I/O complexity
 Θ(n³/m) — the Hong-Kung lower bound for internal memory 2m².
 
-The simulator replays the paper's schedule cycle for cycle.  In
-``strict`` mode it executes every MAC at its scheduled cycle with
-per-cell hazard tracking; in fast mode it performs the numerically
-identical per-z accumulation with closed-form cycle accounting
-(cross-validated against strict mode in the test suite).
+Each C′ cell adds its n products in z order, starting from +0.0, so
+the default run is one rank-1 sweep ``C += A[:, z] ⊗ B[z, :]`` for
+z = 0…n−1 over the whole matrix, with closed-form cycle and traffic
+counters; it calls no BLAS, so neither FMA nor a library's summation
+order reaches the bits.  ``strict`` mode keeps the per-cycle replay:
+every MAC of every block product at its scheduled cycle, with per-cell
+hazard tracking (cross-validated against the sweep in the test suite).
 """
 
 from __future__ import annotations
@@ -161,7 +163,13 @@ class MatrixMultiplyDesign:
     # ------------------------------------------------------------------
     def run(self, A: np.ndarray, B: np.ndarray,
             strict: bool = False) -> MatrixMultiplyRun:
-        """Simulate C = A·B for n×n matrices (n a multiple of m)."""
+        """Simulate C = A·B for n×n matrices (n a multiple of m).
+
+        Sweeps the rank-1 updates ``C += A[:, z] ⊗ B[z, :]`` in z order
+        from a zero C: each cell sums its products in the PE array's
+        order.  ``strict=True`` replays each block product cycle by
+        cycle instead, with hazard checks, and counts the replayed
+        cycles."""
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
         if A.ndim != 2 or A.shape != B.shape or A.shape[0] != A.shape[1]:
@@ -173,26 +181,20 @@ class MatrixMultiplyDesign:
         nb = n // m
 
         C = np.zeros((n, n))
-        words_read = 0
-        words_written = 0
-        compute_cycles = 0
-
-        for g in range(nb):
-            for h in range(nb):
-                c_block = np.zeros((m, m))
-                for z in range(nb):
-                    a_blk = A[g * m:(g + 1) * m, z * m:(z + 1) * m]
-                    b_blk = B[z * m:(z + 1) * m, h * m:(h + 1) * m]
-                    if strict:
-                        cycles = self._block_multiply_strict(
-                            a_blk, b_blk, c_block)
-                    else:
-                        cycles = self._block_multiply_fast(
-                            a_blk, b_blk, c_block)
-                    compute_cycles += cycles
-                    words_read += 2 * m * m
-                C[g * m:(g + 1) * m, h * m:(h + 1) * m] = c_block
-                words_written += m * m
+        if strict:
+            compute_cycles = 0
+            for g in range(nb):
+                for h in range(nb):
+                    c_block = C[g * m:(g + 1) * m, h * m:(h + 1) * m]
+                    for z in range(nb):
+                        compute_cycles += self._block_multiply_strict(
+                            A[g * m:(g + 1) * m, z * m:(z + 1) * m],
+                            B[z * m:(z + 1) * m, h * m:(h + 1) * m],
+                            c_block)
+        else:
+            for a_col, b_row in zip(A.T, B):
+                C += a_col[:, None] * b_row
+            compute_cycles = nb ** 3 * self.block_compute_cycles()
 
         total = (self.startup_cycles() + compute_cycles
                  + self.drain_cycles() + m * m)  # final C block output
@@ -200,22 +202,12 @@ class MatrixMultiplyDesign:
             C=C, n=n, m=m, k=k,
             total_cycles=total,
             compute_cycles=compute_cycles,
-            words_read=words_read,
-            words_written=words_written,
+            words_read=2 * m * m * nb ** 3,
+            words_written=m * m * nb ** 2,
             storage_words=self.storage_words,
         )
 
     # ------------------------------------------------------------------
-    def _block_multiply_fast(self, a_blk: np.ndarray, b_blk: np.ndarray,
-                             c_block: np.ndarray) -> int:
-        """Per-z-step accumulation — numerically identical to the PE
-        schedule (each C′ cell accumulates its z contributions in
-        order) with closed-form cycle count m³/k."""
-        m = self.m
-        for z in range(m):
-            c_block += np.outer(a_blk[:, z], b_blk[z, :])
-        return m ** 3 // self.k
-
     def _block_multiply_strict(self, a_blk: np.ndarray, b_blk: np.ndarray,
                                c_block: np.ndarray) -> int:
         """Cycle-by-cycle replay of the PE schedule with hazard checks.

@@ -20,8 +20,8 @@ holds:
   SingleAdderReduction` (its ``op=`` hook), memoize the resulting
   dependency DAG, and apply it to real values as NumPy index
   operations grouped by dependency level — whole quiescent regions of
-  the schedule advance per vector op instead of per cycle.
-  :class:`FastReduction` wraps them as a drop-in for the circuit.
+  the schedule advance per vector op instead of per cycle, and one
+  gather returns every set's sum as one array indexed by set id.
 * **The fast entry points** ``fast_dot``, ``fast_mvm``, ``fast_spmxv``
   and ``fast_multi_fpga_mm``, which :class:`repro.blas.api.BlasCall`
   calls in fast mode; each is one ``design.run(..., sim_mode="fast")``.
@@ -47,7 +47,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.reduction.base import ReducedResult
 from repro.reduction.single_adder import SingleAdderReduction
 from repro.sim.engine import SimulationError
 
@@ -75,10 +74,10 @@ PAT_BUBBLE, PAT_VALUE, PAT_LAST = 0, 1, 2
 def back_to_back_pattern(sizes: Sequence[int]) -> bytes:
     """Arrival pattern of ``len(sizes)`` sets delivered back to back,
     one value per cycle — the pattern every dense kernel produces."""
-    return b"".join(
-        bytes([PAT_VALUE]) * (int(s) - 1) + bytes([PAT_LAST])
-        for s in sizes
-    )
+    ends = np.cumsum(sizes, dtype=np.int64)
+    codes = np.full(ends[-1] if len(ends) else 0, PAT_VALUE, dtype=np.uint8)
+    codes[ends - 1] = PAT_LAST
+    return codes.tobytes()
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,10 @@ class ReductionProgram:
     ``(a, b, out)`` index arrays — every addition computes
     ``value[out] = value[a] + value[b]``, the exact operand order the
     circuit issued.  ``emits`` lists the completed sets in emission
-    order as ``(set_id, root_node, cycle)``; ``flush_cycles`` is what
-    :meth:`SingleAdderReduction.flush` returned past the pattern's end.
+    order as ``(set_id, root_node, cycle)``, and ``set_roots`` holds
+    each set's root node indexed by set id (arrival order);
+    ``flush_cycles`` is what :meth:`SingleAdderReduction.flush`
+    returned past the pattern's end.
     """
 
     pattern: bytes
@@ -102,6 +103,7 @@ class ReductionProgram:
     n_nodes: int
     levels: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     emits: Tuple[Tuple[int, int, int], ...]
+    set_roots: np.ndarray
     flush_cycles: int
 
     @property
@@ -109,12 +111,11 @@ class ReductionProgram:
         """Cycle of the final emission (0 when nothing was streamed)."""
         return self.emits[-1][2] if self.emits else 0
 
-    def apply(self, values: np.ndarray) -> List[ReducedResult]:
+    def apply(self, values: np.ndarray) -> np.ndarray:
         """Replay the recorded schedule over real values, vectorized by
-        dependency level.  Returns the same ``results`` list the
-        cycle-accurate circuit produces — same values (bit for bit,
-        same operand order per addition), same set ids, same emission
-        cycles."""
+        dependency level.  Returns every set's sum, indexed by set id:
+        bit for bit what the cycle-accurate circuit emits, since each
+        addition keeps the circuit's operand order."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if len(values) != self.n_inputs:
             raise ValueError(
@@ -126,10 +127,7 @@ class ReductionProgram:
             # Fancy-index reads copy before the write lands, and level
             # grouping guarantees operands come from earlier levels.
             vals[out_idx] = vals[a_idx] + vals[b_idx]
-        return [
-            ReducedResult(set_id, float(vals[root]), cycle)
-            for set_id, root, cycle in self.emits
-        ]
+        return vals[self.set_roots]
 
 
 @lru_cache(maxsize=64)
@@ -192,67 +190,14 @@ def reduction_program(pattern: bytes, alpha: int = 14,
         (res.set_id, int(res.value), res.cycle)
         for res in circuit.results
     )
+    # Set ids number the sets 0, 1, … in arrival order.
+    set_roots = np.array([root for _, root, _ in sorted(emits)],
+                         dtype=np.int64)
     return ReductionProgram(
         pattern=pattern, alpha=alpha, drain_policy=drain_policy,
         n_inputs=n_inputs, n_nodes=next_id, levels=tuple(levels),
-        emits=emits, flush_cycles=flush_cycles,
+        emits=emits, set_roots=set_roots, flush_cycles=flush_cycles,
     )
-
-
-class FastReduction:
-    """Drop-in vectorized stand-in for :class:`SingleAdderReduction`.
-
-    Events offered via :meth:`cycle` are buffered as an arrival
-    pattern; :meth:`flush` records (or cache-hits) the schedule and
-    materializes ``results`` in one vectorized replay.  Values, set
-    ids and emission cycles are byte-identical to the cycle-accurate
-    circuit's — the property suite in
-    ``tests/test_reduction_properties.py`` proves it on random
-    interleavings.  Unlike the cycle circuit, ``results`` only
-    materializes at :meth:`flush` time.
-    """
-
-    def __init__(self, alpha: int = 14,
-                 drain_policy: str = "most-work") -> None:
-        # Reuse the circuit's own constructor validation.
-        SingleAdderReduction(alpha=alpha, drain_policy=drain_policy)
-        self.alpha = alpha
-        self.drain_policy = drain_policy
-        self.num_adders = 1
-        self.buffer_words = 2 * alpha * alpha
-        self._pattern = bytearray()
-        self._values: List[float] = []
-        self.results: List[ReducedResult] = []
-        self._flushed = False
-
-    def cycle(self, value: Optional[float] = None,
-              last: bool = False) -> bool:
-        """Buffer one producer cycle (stall-freedom is verified at
-        flush time; valid patterns never stall)."""
-        if value is None:
-            self._pattern.append(PAT_BUBBLE)
-        else:
-            self._pattern.append(PAT_LAST if last else PAT_VALUE)
-            self._values.append(float(value))
-        self._flushed = False
-        return True
-
-    def busy(self) -> bool:
-        return bool(self._values) and not self._flushed
-
-    def flush(self, max_cycles: int = 1_000_000) -> int:
-        """Record/replay the buffered pattern; returns the flush-tail
-        cycle count, exactly as the cycle circuit reports it."""
-        program = reduction_program(bytes(self._pattern), self.alpha,
-                                    self.drain_policy)
-        if program.flush_cycles > max_cycles:
-            raise SimulationError(
-                f"reduction circuit failed to drain within {max_cycles} "
-                f"cycles"
-            )
-        self.results = program.apply(np.asarray(self._values))
-        self._flushed = True
-        return program.flush_cycles
 
 
 # ----------------------------------------------------------------------

@@ -120,11 +120,10 @@ class SpmxvDesign(TreeDatapath):
         its chunks' tree-root values, and each chunk reads k (value,
         column) pairs; empty rows never enter the datapath."""
         nonempty, sizes, partials = self.tree_partials(matrix, x)
-        results, cycles = self.stream(partials, sizes, sim_mode)
+        values, cycles = self.stream(partials, sizes, sim_mode)
         # Sets are numbered in arrival order: the non-empty rows.
         y = np.zeros(matrix.nrows)
-        for res in results:
-            y[nonempty[res.set_id]] = res.value
+        y[nonempty] = values
         return SpmxvRun(y=y, nrows=matrix.nrows, nnz=matrix.nnz, k=self.k,
                         total_cycles=cycles,
                         words_read=2 * self.k * len(partials))

@@ -58,26 +58,24 @@ def diagonally_dominant(n: int, rng: np.random.Generator,
 # structured sparse matrices
 # ----------------------------------------------------------------------
 def poisson_2d(grid: int) -> CsrMatrix:
-    """Five-point Laplacian on a grid×grid mesh (Dirichlet walls)."""
+    """Five-point Laplacian on a grid×grid mesh (Dirichlet walls).
+
+    Row i holds, in column order, its north (i − grid), west (i − 1),
+    centre (4.0), east (i + 1) and south (i + grid) entries, each
+    neighbour masked off at the walls."""
     if grid < 1:
         raise ValueError("grid must be positive")
     n = grid * grid
-    values: List[float] = []
-    cols: List[int] = []
-    row_ptr = [0]
-    for i in range(grid):
-        for j in range(grid):
-            entries = [(i * grid + j, 4.0)]
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ni, nj = i + di, j + dj
-                if 0 <= ni < grid and 0 <= nj < grid:
-                    entries.append((ni * grid + nj, -1.0))
-            for col, val in sorted(entries):
-                cols.append(col)
-                values.append(val)
-            row_ptr.append(len(values))
-    return CsrMatrix(np.array(values), np.array(cols, dtype=np.int64),
-                     np.array(row_ptr, dtype=np.int64), (n, n))
+    node = np.arange(n, dtype=np.int64)
+    row, col = np.divmod(node, grid)
+    offsets = np.array([-grid, -1, 0, 1, grid], dtype=np.int64)
+    present = np.stack([row > 0, col > 0, np.ones(n, dtype=bool),
+                        col < grid - 1, row < grid - 1], axis=1)
+    stencil = np.where(offsets == 0, 4.0, -1.0)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=row_ptr[1:])
+    return CsrMatrix(np.broadcast_to(stencil, present.shape)[present],
+                     (node[:, None] + offsets)[present], row_ptr, (n, n))
 
 
 def banded(n: int, bandwidth: int, rng: np.random.Generator) -> CsrMatrix:

@@ -1,22 +1,28 @@
-"""Golden digests of the tree kernels, column-major gemv and the gang.
+"""Golden digests of every kernel design and of the Poisson grid.
 
 The fast-vs-cycle differential harness compares two modes that share
 each kernel's front end (validation, lane padding, the multiplier
 products and the adder-tree fold), so a change to that front end moves
 both modes alike and passes it.  These tests pin the sha256 of every
-field of each ``DotProductRun``, ``MvmRun``, ``SpmxvRun`` and
-``MultiFpgaRun`` on an edge grid — k = 1, odd k, n not a multiple of
-k, a throttled dot, blocked gemv in both storage orders, empty sparse
-rows, asum, gangs with one and two b-blocks per side — so the values
-and cycle counts must match the code that recorded them.  Every case
-must produce the same digest in both sim modes, except asum, which has
-no fast mode.
+field of each ``DotProductRun``, ``MvmRun``, ``SpmxvRun``,
+``MultiFpgaRun`` and ``MatrixMultiplyRun`` on an edge grid — k = 1,
+odd k, n not a multiple of k, a throttled dot, blocked gemv in both
+storage orders, empty sparse rows, asum, gangs with one and two
+b-blocks per side, single-blade gemm with one to three m-blocks per
+side on zero-padded operands — so the values and cycle counts must
+match the code that recorded them.  Every case must produce the same
+digest in both sim modes, except asum, which has no fast mode, and
+single-blade gemm, which has no ``sim_mode``: its non-strict run is
+pinned everywhere and its ``strict=True`` per-MAC replay, whose cycle
+counters differ, for n <= 32.  The arrays of ``poisson_2d``, which
+every serve spmxv and cg request streams, are pinned byte for byte.
 
 Operands come from integer arithmetic and one IEEE division each, not
 from an RNG, so the digests hold on any host and NumPy version.  The
 gang's operands are small integers: every product and partial sum is
 then exact, so its digests do not depend on the BLAS kernel that
-computes the block products.
+computes the block products.  Single-blade gemm calls no BLAS, so its
+digests hold for any operands.
 """
 
 import dataclasses
@@ -29,6 +35,7 @@ import pytest
 from repro.blas.level1 import DotProductDesign
 from repro.blas.level1_ext import AsumDesign
 from repro.blas.level2 import ColumnMajorMvmDesign, TreeMvmDesign
+from repro.blas.level3 import MatrixMultiplyDesign
 from repro.blas.multi_fpga import MultiFpgaMatrixMultiply
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.spmxv import SpmxvDesign
@@ -90,6 +97,16 @@ ASUM_NS = (1, 7, 64, 1000)
 #: (n, l, k, m, b); two of them have two b-blocks per side.
 GANGS = ((64, 2, 8, 8, 64), (64, 4, 8, 16, 64), (128, 3, 8, 16, 64),
          (96, 6, 4, 8, 48), (128, 1, 8, 32, 128))
+#: Single-blade gemm (n, k, m, p): n×n operands whose leading p×p
+#: block holds data and the rest is zero padding, as the executing
+#: path pads a call to a multiple of m.  n/m is 1, 2 or 3.
+GEMMS = ((16, 2, 16, 16), (16, 4, 16, 13), (16, 4, 8, 11),
+         (32, 4, 16, 32), (32, 8, 16, 24), (24, 1, 8, 24),
+         (36, 3, 12, 36), (48, 8, 16, 40), (96, 8, 32, 96),
+         (128, 8, 64, 96))
+#: The strict per-MAC replay steps every cycle; it runs for n <= 32.
+STRICT_MAX_N = 32
+POISSON_GRIDS = (1, 2, 3, 7, 16, 20)
 
 
 def _dot_design(k, throttled):
@@ -109,6 +126,19 @@ def _gemv_operands(n):
 def _column_operands(nrows):
     return (_vec(nrows * COLUMN_NCOLS, 23).reshape(nrows, COLUMN_NCOLS),
             _vec(COLUMN_NCOLS, 307))
+
+
+def _gemm_operands(n, p):
+    """A and B zero-padded from p×p to n×n.  Row 1 of A is -0.0 across
+    the padding too, and column 2 of B is zero, so C[1, 2] sums only
+    -0.0 products: it reads +0.0 only if every cell starts from +0.0."""
+    A = np.zeros((n, n))
+    B = np.zeros((n, n))
+    A[:p, :p] = _vec(p * p, 37).reshape(p, p)
+    B[:p, :p] = _vec(p * p, 401).reshape(p, p)
+    A[1, :] = -0.0
+    B[:, 2] = 0.0
+    return A, B
 
 
 def _cases():
@@ -137,6 +167,11 @@ def _cases():
     for k in ASUM_KS:
         for n in ASUM_NS:
             yield f"asum-k{k}-n{n}", ("asum", k, n, None)
+    for n, k, m, p in GEMMS:
+        name = f"gemm-n{n}-k{k}-m{m}-p{p}"
+        yield name, ("gemm", k, n, (m, p, False))
+        if n <= STRICT_MAX_N:
+            yield f"{name}-strict", ("gemm", k, n, (m, p, True))
 
 
 CASES = dict(_cases())
@@ -165,12 +200,17 @@ def _run(case, mode):
                           sim_mode=mode)
     if op == "asum":
         return AsumDesign(k=k).run(_vec(size, 29))
+    if op == "gemm":
+        m, p, strict = extra
+        return MatrixMultiplyDesign(k=k, m=m).run(
+            *_gemm_operands(size, p), strict=strict)
     design = SpmxvDesign(k=k)
     matrix = SPARSE[size]()
     return design.run(matrix, _vec(matrix.ncols, 907), sim_mode=mode)
 
 
-#: sha256 of every field of the cycle-mode run, per case.
+#: sha256 of every field of the run, per case, recorded in cycle mode
+#: (a non-strict gemm in its one mode).
 GOLDEN = {
     "asum-k1-n1":
         "48a0869578934b2fbc96105141b91c3eae6be719dcd1819e661e956b1239bd54",
@@ -302,6 +342,38 @@ GOLDEN = {
         "987392d1620f5d93bfbcabac1eaa15446a4da9b9505b3787fcae8140cf5d6da9",
     "gang-n96-l6-k4-m8-b48":
         "5c5eea217aa7f665729c4fe944a248dc5cc1475faaae1d782393f28c07118d3d",
+    "gemm-n128-k8-m64-p96":
+        "6e507248abb9c3d10cdae31054c9bbf52adcc315e46b74c87076eb74aa536052",
+    "gemm-n16-k2-m16-p16":
+        "874a00404620b132fdf6b3b0d590138b9eba02937d14e0b89b49834acaad90a5",
+    "gemm-n16-k2-m16-p16-strict":
+        "5f5396adbc6583f767f8daa3c042bb479df5a4dabd62e7f2389933d7043c0b56",
+    "gemm-n16-k4-m16-p13":
+        "db0e30faa98242f571ccbce8e181bb18b3bda0036622c5dad4a0a14248ad1859",
+    "gemm-n16-k4-m16-p13-strict":
+        "24c9834e5e0e1f7e02a3a987d4cce93307f0d089d6eccdebf5067ee820dcde6f",
+    "gemm-n16-k4-m8-p11":
+        "5163092419c6bf959aa5a6ff445dce80294043dbcea0de4696c967f304c124fb",
+    "gemm-n16-k4-m8-p11-strict":
+        "c004c78b7ddbb54b667072c6d298a93b94157bd6d16340c2971e2f71e709970a",
+    "gemm-n24-k1-m8-p24":
+        "4a3e8ac7c54ad512a8373848c3b82b5a34ff9c6b6821253444ac094a860c112d",
+    "gemm-n24-k1-m8-p24-strict":
+        "4a3e8ac7c54ad512a8373848c3b82b5a34ff9c6b6821253444ac094a860c112d",
+    "gemm-n32-k4-m16-p32":
+        "eaa539b8bd4689a6c627a6c7f3d245491bf800fb433359de39e264e6e1b67b5b",
+    "gemm-n32-k4-m16-p32-strict":
+        "99cd64a6fd9377711f95416d0784904da7e47696faa1e92517e5b7f0491dffca",
+    "gemm-n32-k8-m16-p24":
+        "8de95b61c51c8e30b98d2247716cb5acfec979030422ce9165809c981087f08e",
+    "gemm-n32-k8-m16-p24-strict":
+        "ea1817490ab3a641947dec0685dd0c3c6237b4e13e23ca32ed3ace6e3033af04",
+    "gemm-n36-k3-m12-p36":
+        "a9fbd9287666502a6113166d261fe20035ab4febbfbb98263e4044eebe989c60",
+    "gemm-n48-k8-m16-p40":
+        "cff59e21fec4afc4bba64643c2cf0c901d91bf607b51bde5fdd8b75a2d831f35",
+    "gemm-n96-k8-m32-p96":
+        "135eb92b57ce45f26abdccc0c23a56d525aa15bfcf229d668b0a427edfe07fc0",
     "gemv-column-k1-r14":
         "2ef370f1687ddec076fefd213ba09106f7c09827387ecacd150595f1533824f0",
     "gemv-column-k1-r23":
@@ -411,8 +483,45 @@ def test_empty_rows_fixture_has_leading_and_trailing_empties():
     assert row_nnz[1:-1].max() > max(SPMXV_KS)
 
 
+def _modes(case):
+    """The sim modes a case runs in: asum steps only, and a gemm case
+    names its one mode by its ``strict`` flag."""
+    op, _, _, extra = CASES[case]
+    if op == "asum":
+        return ("cycle",)
+    if op == "gemm":
+        return ("cycle",) if extra[2] else ("fast",)
+    return ("cycle", "fast")
+
+
 @pytest.mark.parametrize("case, mode", [
-    (case, mode) for case in sorted(CASES) for mode in ("cycle", "fast")
-    if mode == "cycle" or CASES[case][0] != "asum"])
+    (case, mode) for case in sorted(CASES) for mode in _modes(case)])
 def test_run_matches_golden_digest(case, mode):
     assert _digest(_run(case, mode)) == GOLDEN[case]
+
+
+def _csr_digest(matrix):
+    """sha256 over the shape and each CSR array's dtype, shape and
+    bytes."""
+    h = hashlib.sha256(repr(matrix.shape).encode())
+    for array in (matrix.values, matrix.col_indices, matrix.row_ptr):
+        h.update(array.dtype.str.encode())
+        h.update(repr(array.shape).encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+#: sha256 of ``poisson_2d(grid)``'s arrays, per grid.
+GOLDEN_POISSON = {
+    1: "fb521d3beca30bbc6f4b9aa0c53ba06ca6f125fdba696c7d49275dab6228fba9",
+    2: "871a406e150bc1ac513d413355d619a3dc208756b80448cdae6fd519d9bff7c4",
+    3: "b2c3f077b107d95fd7686c0052a7438af4893dd7dd898074a5307251b978d644",
+    7: "def8b1a0bc1834cbccccca65102ccf3fab7ef4ed9f92689649330b3df24e85e5",
+    16: "e60cc1b68df27472220f0eab43f4c3afba79caffbe9f4944e410356403f3d230",
+    20: "6f509f0cc51a8f8d8253a70060bbda59650cc5795b75a30737fe7392a67150aa",
+}
+
+
+@pytest.mark.parametrize("grid", POISSON_GRIDS)
+def test_poisson_2d_matches_golden_digest(grid):
+    assert _csr_digest(poisson_2d(grid)) == GOLDEN_POISSON[grid]

@@ -5,11 +5,11 @@ must (1) compute correct sums, (2) never stall the producer, (3) keep
 buffer occupancy within 2α², (4) finish within Σsᵢ + 2α² cycles, and
 (5) issue exactly Σ(sᵢ − 1) additions.
 
-The vectorized replay (:class:`repro.sim.fast.FastReduction`) claims
-*byte-identical* behavior — same value bits, same set ids, same
-emission cycles, same flush-tail length — on every workload the cycle
-circuit accepts; the equivalence properties at the bottom are that
-proof.
+The recorded schedule (:func:`repro.sim.fast.reduction_program`)
+claims *byte-identical* behavior — same value bits per set id, same
+emission cycles, same flush-tail length — on every arrival pattern the
+cycle circuit accepts, bubbles included; the equivalence properties at
+the bottom are that proof.
 """
 
 import math
@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.reduction.analysis import latency_bound, run_reduction
 from repro.reduction.single_adder import SingleAdderReduction
-from repro.sim.fast import FastReduction, back_to_back_pattern
+from repro.sim.fast import (PAT_BUBBLE, PAT_LAST, PAT_VALUE,
+                            back_to_back_pattern, reduction_program)
 
 alphas = st.sampled_from([2, 3, 4, 5, 8, 14])
 
@@ -175,19 +176,46 @@ def test_input_gaps_do_not_break_correctness(workload, gaps):
 
 
 # ----------------------------------------------------------------------
-# vectorized replay equivalence (repro.sim.fast.FastReduction)
+# recorded-schedule equivalence (repro.sim.fast.reduction_program)
 # ----------------------------------------------------------------------
-def _assert_byte_identical(cycle_circuit, fast_circuit,
-                           cycle_flush, fast_flush):
-    """Results and flush tails of the two circuits are bitwise equal."""
-    assert cycle_flush == fast_flush
-    assert len(cycle_circuit.results) == len(fast_circuit.results)
-    for want, got in zip(cycle_circuit.results, fast_circuit.results):
-        assert got.set_id == want.set_id
-        assert got.cycle == want.cycle
-        assert (np.float64(got.value).tobytes()
+def _back_to_back(sets):
+    """One producer cycle per value: ``(value, closes its set)``."""
+    return [(value, index == len(values) - 1)
+            for values in sets for index, value in enumerate(values)]
+
+
+def _encode(arrivals):
+    """The arrival pattern and streamed values of ``arrivals`` (None
+    for a producer bubble, else ``(value, last)``)."""
+    pattern = bytes(PAT_BUBBLE if event is None
+                    else PAT_LAST if event[1] else PAT_VALUE
+                    for event in arrivals)
+    values = [event[0] for event in arrivals if event is not None]
+    return pattern, np.asarray(values, dtype=np.float64)
+
+
+def _assert_byte_identical(alpha, arrivals):
+    """Stepping the circuit through ``arrivals`` and replaying their
+    recorded schedule give bitwise-equal sums per set id, the same
+    emission cycle per set and the same flush tail."""
+    circuit = SingleAdderReduction(alpha=alpha)
+    for event in arrivals:
+        if event is None:
+            circuit.cycle()
+        else:
+            assert circuit.cycle(*event)
+    flush = circuit.flush()
+    pattern, values = _encode(arrivals)
+    program = reduction_program(pattern, alpha)
+    assert program.flush_cycles == flush
+    assert ([(set_id, cycle) for set_id, _, cycle in program.emits]
+            == [(r.set_id, r.cycle) for r in circuit.results])
+    sums = program.apply(values)
+    assert len(sums) == len(circuit.results)
+    for want in circuit.results:
+        assert (sums[want.set_id].tobytes()
                 == np.float64(want.value).tobytes()), (
-            want.set_id, want.value, got.value)
+            want.set_id, want.value, sums[want.set_id])
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,15 +224,7 @@ def test_fast_reduction_byte_identical_back_to_back(workload):
     """Back-to-back delivery (the dense kernels' pattern): the
     vectorized replay is indistinguishable from the cycle circuit."""
     alpha, sets = workload
-    cycle_circuit = SingleAdderReduction(alpha=alpha)
-    fast_circuit = FastReduction(alpha=alpha)
-    for set_id, values in enumerate(sets):
-        for index, value in enumerate(values):
-            last = index == len(values) - 1
-            assert cycle_circuit.cycle(value, last)
-            assert fast_circuit.cycle(value, last)
-    _assert_byte_identical(cycle_circuit, fast_circuit,
-                           cycle_circuit.flush(), fast_circuit.flush())
+    _assert_byte_identical(alpha, _back_to_back(sets))
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,19 +239,14 @@ def test_fast_reduction_byte_identical_random_interleaving(
     rnd = random.Random(shuffle_seed)
     order = list(range(len(sets)))
     rnd.shuffle(order)
-    cycle_circuit = SingleAdderReduction(alpha=alpha)
-    fast_circuit = FastReduction(alpha=alpha)
+    arrivals = []
     for set_id in order:
         values = sets[set_id]
         for index, value in enumerate(values):
             while rnd.random() < 0.25:
-                cycle_circuit.cycle()
-                fast_circuit.cycle()
-            last = index == len(values) - 1
-            assert cycle_circuit.cycle(value, last)
-            assert fast_circuit.cycle(value, last)
-    _assert_byte_identical(cycle_circuit, fast_circuit,
-                           cycle_circuit.flush(), fast_circuit.flush())
+                arrivals.append(None)
+            arrivals.append((value, index == len(values) - 1))
+    _assert_byte_identical(alpha, arrivals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,13 +255,8 @@ def test_fast_reduction_matches_numpy_reference(workload):
     """Independent of the cycle circuit, the vectorized sums agree
     with NumPy over every set."""
     alpha, sets = workload
-    fast_circuit = FastReduction(alpha=alpha)
-    for values in sets:
-        for index, value in enumerate(values):
-            fast_circuit.cycle(value, index == len(values) - 1)
-    fast_circuit.flush()
-    got = [r.value for r in sorted(fast_circuit.results,
-                                   key=lambda r: r.set_id)]
+    pattern, streamed = _encode(_back_to_back(sets))
+    got = reduction_program(pattern, alpha).apply(streamed)
     assert len(got) == len(sets)
     for value, values in zip(got, sets):
         arr = np.asarray(values, dtype=np.float64)
@@ -262,8 +272,5 @@ def test_back_to_back_pattern_is_the_dense_arrival(workload):
     the circuit value-per-cycle produces."""
     _, sets = workload
     sizes = [len(s) for s in sets]
-    fast_circuit = FastReduction()
-    for values in sets:
-        for index, value in enumerate(values):
-            fast_circuit.cycle(value, index == len(values) - 1)
-    assert bytes(fast_circuit._pattern) == back_to_back_pattern(sizes)
+    pattern, _ = _encode(_back_to_back(sets))
+    assert pattern == back_to_back_pattern(sizes)

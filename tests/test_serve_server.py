@@ -714,3 +714,49 @@ class TestMetricsGolden:
         text = _canonical_metrics(GOLDEN_SCENARIOS[name]())
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == GOLDEN_METRICS[name]
+
+
+#: One epoch of every kernel serve reaches, as (tenant, call spec):
+#: gemm at n = 16 and 128 runs unpadded, at 24, 48 and 96 padded to a
+#: multiple of its m; spmxv and cg take ``n`` as the Poisson grid.
+RESULTS_EPOCH = (
+    [("astro", {"operation": "dot", "n": 1000, "seed": 1}),
+     ("fusion", {"operation": "gemv", "n": 96, "seed": 2}),
+     ("solver", {"operation": "gemv", "n": 96, "architecture": "column",
+                 "seed": 3})]
+    + [(("astro", "fusion")[i % 2], {"operation": "gemm", "n": n,
+                                    "seed": 10 + i})
+       for i, n in enumerate((16, 24, 48, 96, 128))]
+    + [("solver", {"operation": "spmxv", "n": grid, "seed": 20 + grid})
+       for grid in (1, 8, 13, 20)]
+    + [("solver", {"operation": "cg", "n": grid, "k": 4, "seed": 30})
+       for grid in (8, 16)])
+
+#: sha256 of the canonical drain JSON of ``RESULTS_EPOCH``.
+GOLDEN_RESULTS = (
+    "e4faeafa923a6203599a99c4d4c61e80e0fa38ca5f9c649e106784fdf5959591")
+
+
+def _results_drain():
+    service = BlasService()
+    for i, (tenant, spec) in enumerate(RESULTS_EPOCH):
+        reply = submit(service, tenant, spec, at=i * 1e-4, client_id=i)
+        assert reply["type"] == "accepted", reply
+    return service.handle({"op": "drain"})
+
+
+class TestResultsGolden:
+    """The drain's value bits pinned by digest: every result digest,
+    charged cycle count and virtual latency of one multi-tenant epoch.
+    ``TestMetricsGolden`` pins counts but no value bits.  No kernel on
+    this path calls BLAS, so the digest holds on any host."""
+
+    def test_every_request_completes(self):
+        results = _results_drain()["results"]
+        assert len(results) == len(RESULTS_EPOCH)
+        assert all(r["state"] == "done" for r in results), results
+
+    def test_drain_matches_golden_digest(self):
+        text = json.dumps(_results_drain(), sort_keys=True,
+                          separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RESULTS
