@@ -68,13 +68,8 @@ def reduction_flush_cycles(set_size: int, alpha: int = 14) -> int:
         raise ValueError("set_size must be positive")
     size = min(set_size, alpha + 3)
     circuit = SingleAdderReduction(alpha=alpha)
-    for i in range(size):
-        circuit.cycle(1.0, last=(i == size - 1))
-    cycles = 0
-    while not circuit.results:
-        circuit.cycle()
-        cycles += 1
-    return cycles
+    circuit.run([(1.0, i == size - 1) for i in range(size)])
+    return circuit.flush()
 
 #: Per-operation default lane counts (the paper's Table 3/4 choices).
 DEFAULT_K = {"dot": 2, "gemv": 4, "gemm": 8, "spmxv": 4}

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.reduction.single_adder import SingleAdderReduction
+from repro.reduction.single_adder import FeedEntry, SingleAdderReduction
 from repro.sim.engine import SimulationError
 from repro.sim.fast import (back_to_back_pattern, check_sim_mode,
                              reduction_program)
@@ -128,8 +128,9 @@ class TreeDatapath:
         capped at 4k: each group reads 2k words (the dot product's
         memory system).
 
-        ``sim_mode="cycle"`` steps every cycle and fills the array from
-        the circuit's results.  ``"fast"`` replays the reduction
+        ``sim_mode="cycle"`` steps the circuit through the whole feed in
+        one :meth:`SingleAdderReduction.run` and one ``flush``, and fills
+        the array from its results.  ``"fast"`` replays the reduction
         circuit's recorded schedule when issue is back to back, which
         gathers the array in one index, and steps otherwise.
         """
@@ -154,7 +155,7 @@ class TreeDatapath:
         # What reaches the reduction circuit each cycle, as (tree-root
         # value, closes its set) or None: nothing while the first group
         # crosses the delay line, then one group per issue cycle.
-        feed: List[Optional[Tuple[float, bool]]] = [None] * delay
+        feed: List[FeedEntry] = [None] * delay
         if throttled:
             # The counter starts each cycle under 2k words, so it never
             # reaches its 4k cap.
@@ -173,21 +174,16 @@ class TreeDatapath:
             feed.extend(items)
 
         reduction = SingleAdderReduction(alpha=self.alpha_add)
-        for entry in feed:
-            if entry is None:
-                reduction.cycle()
-            elif not reduction.cycle(*entry):
-                raise SimulationError(
-                    "reduction circuit stalled the adder tree"
-                )
+        if reduction.run(feed) < len(feed):
+            raise SimulationError(
+                "reduction circuit stalled the adder tree"
+            )
         # The last set closes with the last value fed; its flush
         # finishes the run.
-        cycle = len(feed)
-        while len(reduction.results) < len(sizes):
-            cycle += 1
-            if cycle > max_cycles:
-                raise SimulationError("tree datapath failed to complete")
-            reduction.cycle()
+        try:
+            cycle = len(feed) + reduction.flush(max_cycles - len(feed))
+        except SimulationError as exc:
+            raise SimulationError("tree datapath failed to complete") from exc
         values = np.empty(len(sizes))
         for res in reduction.results:
             values[res.set_id] = res.value

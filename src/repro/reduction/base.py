@@ -12,6 +12,13 @@ the sum of its values.  Circuits are driven cycle by cycle:
 * ``cycle()`` — advance one clock with no input (bubble / flush).
 * ``results`` — completed ``(set_id, value, cycle)`` records.
 * ``busy()`` — whether any partial state remains in flight.
+
+``cycle`` stays the per-cycle protocol every circuit implements, and
+the drivers that interleave the circuit with other per-cycle state use
+it.  The paper's circuit also takes a whole feed at once:
+:meth:`repro.reduction.single_adder.SingleAdderReduction.run` steps a
+list of ``None``/``(value, last)`` entries in one loop, and its
+``cycle`` is a one-entry ``run``.
 """
 
 from __future__ import annotations

@@ -40,16 +40,27 @@ word) before the next swap is needed.  Hence the drained bank is empty
 by swap time and the producer never observes back-pressure; the final
 flush after the last input costs at most ~2α² cycles, giving the
 paper's total-latency bound.
+
+**One loop.**  :meth:`SingleAdderReduction.run` is the controller: it
+steps a whole per-cycle feed (``None`` for a bubble, otherwise
+``(value, last)``) in one loop that keeps the controller state in
+locals.  :meth:`~SingleAdderReduction.cycle` is a one-entry ``run``
+and :meth:`~SingleAdderReduction.flush` runs its bubbles through it,
+so the stepped kernels, the per-cycle drivers and the schedules that
+:mod:`repro.sim.fast` records all execute the same decisions.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.fparith.softfloat import float_add
 from repro.reduction.base import ReducedResult, ReductionStats
 from repro.sim.engine import SimulationError
+
+#: What reaches the circuit in one cycle: ``None`` (a bubble) or
+#: ``(value, last)``, where ``last`` closes the value's set.
+FeedEntry = Optional[Tuple[float, bool]]
 
 
 class HazardError(SimulationError):
@@ -64,7 +75,7 @@ class _SetState:
     """Controller state for one input set."""
 
     __slots__ = ("set_id", "bank", "slots", "writes", "fold_pos",
-                 "inflight", "closed", "bag", "emitted")
+                 "inflight", "closed", "bag")
 
     def __init__(self, set_id: int, bank: int) -> None:
         self.set_id = set_id
@@ -77,13 +88,6 @@ class _SetState:
         self.closed = False
         # Bag of landed values once closed (order-free drain pool).
         self.bag: List[float] = []
-        self.emitted = False
-
-    def pending_items(self) -> int:
-        return len(self.bag) + self.inflight
-
-    def complete(self) -> bool:
-        return (self.closed and self.inflight == 0 and len(self.bag) == 1)
 
 
 class SingleAdderReduction:
@@ -124,16 +128,17 @@ class SingleAdderReduction:
             self._op: Callable[[float, float], float] = op
         else:
             self._op = float_add if exact else (lambda a, b: a + b)
-        # α-slot adder pipeline; entries are op descriptors or None.
-        self._adder: Deque[Optional[tuple]] = deque([None] * alpha, maxlen=alpha)
+        # α-slot adder pipeline as a ring: ``_adder[_head]`` is the op
+        # issued α cycles ago, as ``(set, lane slot or -1 for a drain,
+        # result)``, or None.
+        self._adder: List[Optional[tuple]] = [None] * alpha
+        self._head = 0
         self._bank_free = [alpha * alpha, alpha * alpha]
         self._fill_bank = 0
         self._current: Optional[_SetState] = None
         self._closed: List[_SetState] = []
         self._next_set_id = 0
         self._cycle = 0
-        self._last_input_was_fold = False
-        self._fold_issue: Optional[tuple] = None
         self.results: List[ReducedResult] = []
         self.stats = ReductionStats()
 
@@ -151,155 +156,189 @@ class SingleAdderReduction:
     # ------------------------------------------------------------------
     def cycle(self, value: Optional[float] = None, last: bool = False) -> bool:
         """Advance one clock cycle.  Returns False on input stall."""
-        self.stats.cycles += 1
-        self._cycle += 1
-
-        # 1. Adder output lands (issued α cycles ago).
-        landing = self._adder.popleft()
-        if landing is not None:
-            self._land(landing)
-
-        # 2. Input side (may claim the adder for a fold).
-        adder_claimed = False
-        accepted = True
-        if value is not None:
-            accepted = self._accept_input(float(value), last)
-            if accepted:
-                self.stats.inputs_accepted += 1
-                adder_claimed = self._last_input_was_fold
-            else:
-                self.stats.input_stall_cycles += 1
-
-        # 3. Drain side uses the adder if the fold did not.
-        issued: Optional[tuple] = self._fold_issue if adder_claimed else None
-        if not adder_claimed:
-            issued = self._issue_drain()
-        if issued is not None:
-            self.stats.adder_issues += 1
-        self._adder.append(issued)
-
-        if self.occupancy > self.stats.max_buffer_occupancy:
-            self.stats.max_buffer_occupancy = self.occupancy
-        return accepted
+        entry = None if value is None else (float(value), last)
+        return self.run((entry,)) == 1
 
     def flush(self, max_cycles: int = 1_000_000) -> int:
         """Run bubbles until all sets are emitted; returns cycles used."""
-        used = 0
-        while self.busy():
-            if used >= max_cycles:
-                raise SimulationError(
-                    f"reduction circuit failed to drain within {max_cycles} "
-                    f"cycles"
-                )
-            self.cycle()
-            used += 1
+        def bubbles() -> Iterable[FeedEntry]:
+            # Bubbles leave the open set alone, and run's loop shares
+            # the closed list and the adder ring, so busy() is current
+            # between them.
+            for _ in range(max_cycles):
+                if not self.busy():
+                    return
+                yield None
+
+        used = self.run(bubbles())
+        if self.busy():
+            raise SimulationError(
+                f"reduction circuit failed to drain within {max_cycles} "
+                f"cycles"
+            )
         return used
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _accept_input(self, value: float, last: bool) -> bool:
-        self._last_input_was_fold = False
-        self._fold_issue = None
-        state = self._current
-        if state is None:
-            bank = self._allocate_lane()
-            if bank is None:
-                return False  # both banks lack a free lane: stall
-            state = _SetState(self._next_set_id, bank)
-            self._next_set_id += 1
-            self._current = state
+    def run(self, feed: Iterable[FeedEntry]) -> int:
+        """Advance one clock cycle per entry of ``feed`` and return the
+        number of entries consumed.
 
+        An entry is ``None`` (a bubble) or ``(value, last)``: the value
+        arrives, and ``last`` closes its set.  A value that finds no
+        free lane in either bank stalls its cycle; the cycle still runs
+        in full, ``run`` returns without consuming that entry, and the
+        caller re-offers it.  Each cycle, in order:
+
+        1. the adder output issued α cycles ago lands: a fold result
+           goes back into its lane slot, anything else into its closed
+           set's bag, and a set left with one value and nothing in
+           flight emits;
+        2. the input side stores the value in its set's lane (fill) or,
+           once the lane holds α values, folds it into the lane slot it
+           next cycles to, which claims the adder; a new set first
+           reserves an α-word lane in ``Buf_in``, swapping the banks'
+           roles when ``Buf_in`` is full;
+        3. if no fold claimed the adder, the drain side pairs two landed
+           values of a closed set: the one with the most values in its
+           bag and in flight (the first in close order on ties), or
+           under ``"fifo"`` the first with two landed values.
+
+        The controller state stays in locals for the whole feed, so a
+        long feed costs no method call per cycle.
+        """
         alpha = self.alpha
-        if state.writes < alpha:
-            # Fill phase: store the value; the adder stays free this
-            # cycle for the drain side (the paper's sharing rule).
-            state.slots.append(value)
-            state.writes += 1
-        else:
-            # Fold phase: combine with the lane slot, cyclically.
-            pos = state.fold_pos
-            operand = state.slots[pos]
-            if operand is None:
-                raise HazardError(
-                    f"set {state.set_id}: fold slot {pos} read while its "
-                    f"previous fold is still in the adder pipeline"
-                )
-            state.slots[pos] = None
-            state.inflight += 1
-            state.fold_pos = (pos + 1) % alpha
-            self._fold_issue = ("fold", state, pos, self._op(value, operand))
-            self._last_input_was_fold = True
-            state.writes += 1
+        op = self._op
+        fifo = self.drain_policy == "fifo"
+        ring = self._adder
+        head = self._head
+        bank_free = self._bank_free
+        fill = self._fill_bank
+        current = self._current
+        closed = self._closed
+        results = self.results
+        next_id = self._next_set_id
+        capacity = self.buffer_words
+        stats = self.stats
+        peak = stats.max_buffer_occupancy
+        start = now = self._cycle
+        accepted = issues = 0
+        stalled = False
+        for entry in feed:
+            now += 1
+            landed = ring[head]
+            if landed is not None:
+                state, pos, result = landed
+                state.inflight -= 1
+                if pos >= 0 and not state.closed:
+                    state.slots[pos] = result
+                else:
+                    # A drain result, or a fold that landed after its
+                    # set closed.
+                    bag = state.bag
+                    bag.append(result)
+                    if not state.inflight and len(bag) == 1:
+                        bank_free[state.bank] += 1  # the final value's slot
+                        results.append(
+                            ReducedResult(state.set_id, bag[0], now))
+                        state.bag = []
+                        closed.remove(state)
 
-        if last:
-            self._close(state)
-        return True
+            issued = None
+            if entry is not None:
+                if current is None:
+                    if bank_free[fill] < alpha <= bank_free[1 - fill]:
+                        # Buf_in is full: swap roles (Figure 6's buffer
+                        # alternation).
+                        fill = 1 - fill
+                    if bank_free[fill] >= alpha:
+                        bank_free[fill] -= alpha
+                        current = _SetState(next_id, fill)
+                        next_id += 1
+                stalled = current is None
+                if not stalled:
+                    state = current
+                    value, last = entry
+                    accepted += 1
+                    writes = state.writes
+                    slots = state.slots
+                    if writes < alpha:
+                        # Fill phase: store the value; the adder stays
+                        # free this cycle for the drain side (the
+                        # paper's sharing rule).
+                        slots.append(value)
+                    else:
+                        # Fold phase: combine with the lane slot,
+                        # cyclically.
+                        pos = state.fold_pos
+                        operand = slots[pos]
+                        if operand is None:
+                            raise HazardError(
+                                f"set {state.set_id}: fold slot {pos} read "
+                                f"while its previous fold is still in the "
+                                f"adder pipeline"
+                            )
+                        slots[pos] = None
+                        state.inflight += 1
+                        state.fold_pos = pos + 1 if pos + 1 < alpha else 0
+                        issued = (state, pos, op(value, operand))
+                    state.writes = writes + 1
+                    if last:
+                        # Release the unused part of the lane.
+                        if writes + 1 < alpha:
+                            bank_free[state.bank] += alpha - writes - 1
+                        state.closed = True
+                        bag = state.bag = [v for v in slots if v is not None]
+                        state.slots = []
+                        current = None
+                        if not state.inflight and len(bag) == 1:
+                            bank_free[state.bank] += 1
+                            results.append(
+                                ReducedResult(state.set_id, bag[0], now))
+                            state.bag = []
+                        else:
+                            closed.append(state)
 
-    def _allocate_lane(self) -> Optional[int]:
-        alpha = self.alpha
-        if self._bank_free[self._fill_bank] >= alpha:
-            bank = self._fill_bank
-        elif self._bank_free[1 - self._fill_bank] >= alpha:
-            # Buf_in is full: swap roles (Figure 6's buffer alternation).
-            self._fill_bank = 1 - self._fill_bank
-            bank = self._fill_bank
-        else:
-            return None
-        self._bank_free[bank] -= alpha
-        return bank
-
-    def _close(self, state: _SetState) -> None:
-        used = min(state.writes, self.alpha)
-        # Release the unused part of the α-word lane reservation.
-        self._bank_free[state.bank] += self.alpha - used
-        state.closed = True
-        state.bag = [v for v in state.slots if v is not None]
-        state.slots = []
-        self._current = None
-        if state.complete():
-            self._emit(state)
-        else:
-            self._closed.append(state)
-
-    def _issue_drain(self) -> Optional[tuple]:
-        """Pick a closed set with pairable values and pair two of its
-        landed values (work-conserving, hazard-free by construction)."""
-        best: Optional[_SetState] = None
-        for state in self._closed:
-            if len(state.bag) < 2:
-                continue
-            if self.drain_policy == "fifo":
-                best = state
+            if issued is None and closed:
+                # Drain side: pair two landed values of a closed set
+                # (work-conserving, hazard-free by construction).
+                best = None
+                most = 0
+                for state in closed:
+                    size = len(state.bag)
+                    if size < 2:
+                        continue
+                    if fifo:
+                        best = state
+                        break
+                    if best is None or size + state.inflight > most:
+                        best = state
+                        most = size + state.inflight
+                if best is not None:
+                    bag = best.bag
+                    a = bag.pop()
+                    b = bag.pop()
+                    best.inflight += 1
+                    # Two operand slots free now; one is retained for
+                    # the result.
+                    bank_free[best.bank] += 1
+                    issued = (best, -1, op(a, b))
+            if issued is not None:
+                issues += 1
+            ring[head] = issued
+            head = head + 1 if head + 1 < alpha else 0
+            occupancy = capacity - bank_free[0] - bank_free[1]
+            if occupancy > peak:
+                peak = occupancy
+            if stalled:
                 break
-            if best is None or state.pending_items() > best.pending_items():
-                best = state
-        if best is None:
-            return None
-        a = best.bag.pop()
-        b = best.bag.pop()
-        best.inflight += 1
-        # Two operand slots free now; one is retained for the result.
-        self._bank_free[best.bank] += 1
-        return ("drain", best, -1, self._op(a, b))
 
-    def _land(self, op: tuple) -> None:
-        kind, state, pos, result = op
-        state.inflight -= 1
-        if kind == "fold" and not state.closed:
-            state.slots[pos] = result
-        else:
-            # Drain result, or a fold that landed after its set closed.
-            state.bag.append(result)
-        if state.complete():
-            self._emit(state)
-            if state in self._closed:
-                self._closed.remove(state)
-
-    def _emit(self, state: _SetState) -> None:
-        state.emitted = True
-        self._bank_free[state.bank] += 1  # the final value's slot
-        self.results.append(
-            ReducedResult(state.set_id, state.bag[0], self._cycle)
-        )
-        state.bag = []
+        self._head = head
+        self._fill_bank = fill
+        self._current = current
+        self._next_set_id = next_id
+        self._cycle = now
+        stats.cycles += now - start
+        stats.inputs_accepted += accepted
+        stats.input_stall_cycles += stalled
+        stats.adder_issues += issues
+        stats.max_buffer_occupancy = peak
+        return now - start - stalled

@@ -325,12 +325,7 @@ class BlasRuntime:
         request whose design cannot be built (or cannot fit any blade in
         the pool) comes back already FAILED.
         """
-        if self._ran:
-            raise RuntimeError("runtime already ran; build a new one")
-        if at < 0.0:
-            raise ValueError("arrival time must be non-negative")
-        job = Job(job_id=len(self._jobs), request=request, submitted_at=at)
-        self._jobs.append(job)
+        job = self._new_job(request, at)
         try:
             job.plan = self._plan(request)
         except (ValueError, MemoryError, SimulationError) as exc:
@@ -342,6 +337,24 @@ class BlasRuntime:
                          "no blade in the pool is large enough")
             return job
         self._arrivals.append(job)
+        return job
+
+    def submit_failed(self, request: BlasRequest, error: str,
+                      at: float = 0.0) -> Job:
+        """Record a request whose caller could not build its operands
+        as a job that FAILED on arrival with ``error``, counted like a
+        planning failure."""
+        job = self._new_job(request, at)
+        job.fail(at, error)
+        return job
+
+    def _new_job(self, request: BlasRequest, at: float) -> Job:
+        if self._ran:
+            raise RuntimeError("runtime already ran; build a new one")
+        if at < 0.0:
+            raise ValueError("arrival time must be non-negative")
+        job = Job(job_id=len(self._jobs), request=request, submitted_at=at)
+        self._jobs.append(job)
         return job
 
     def _call(self, request: BlasRequest,

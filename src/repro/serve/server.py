@@ -173,6 +173,20 @@ def materialize(spec: Mapping[str, Any]) -> BlasRequest:
         max_blades=spec.get("blades"))
 
 
+def _build(spec: Mapping[str, Any]) -> Tuple[BlasRequest, Optional[str]]:
+    """The request ``spec`` describes and None, or, when NumPy refuses
+    to build its operands (a size past its limit), a request without
+    operands and the error text: that call then fails on its own, like
+    an unplannable one, and the rest of its epoch still runs."""
+    try:
+        return materialize(spec), None
+    except (ValueError, MemoryError) as exc:
+        operation = spec["operation"]
+        unbuilt = BlasRequest("program" if operation == "cg" else operation,
+                              (None, None), priority=spec.get("priority", 0))
+        return unbuilt, f"operands could not be built: {exc}"
+
+
 def result_digest(value: Any) -> str:
     """Short stable digest of a result's float64 bytes — lets clients
     compare replays without shipping whole matrices back."""
@@ -364,7 +378,7 @@ class BlasService:
         release, stats = coalesce(
             [(c.at, c.spec) for c in calls],
             self.config.coalesce_window)
-        requests = [materialize(c.spec) for c in calls]
+        built = [_build(c.spec) for c in calls]
         runtime = BlasRuntime(
             chassis=self.config.chassis,
             blades=self.config.blades,
@@ -378,7 +392,9 @@ class BlasService:
                              self.config.time_scale))
         epoch_start = min(release)
         jobs = [runtime.submit(request, at=at - epoch_start)
-                for request, at in zip(requests, release)]
+                if error is None
+                else runtime.submit_failed(request, error, at - epoch_start)
+                for (request, error), at in zip(built, release)]
         # Submission plans each job once; a job whose planning failed
         # costs nothing.  The scheduler reads priorities only inside
         # run(), so ranking after submission changes no order.
@@ -389,7 +405,7 @@ class BlasService:
         # rank 0 serves first; the executor orders by priority
         # descending, so rank maps to priority = -rank.
         for rank, index in enumerate(order):
-            requests[index].priority = -rank
+            jobs[index].request.priority = -rank
         metrics = runtime.run()
         self._makespan_total += metrics.makespan_seconds
         self._observe_epoch(calls, jobs, runtime, metrics, stats,

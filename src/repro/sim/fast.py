@@ -47,7 +47,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.reduction.single_adder import SingleAdderReduction
+from repro.reduction.single_adder import FeedEntry, SingleAdderReduction
 from repro.sim.engine import SimulationError
 
 #: Valid values of every ``sim_mode=`` knob (the designs' ``run``,
@@ -139,11 +139,19 @@ def reduction_program(pattern: bytes, alpha: int = 14,
     The circuit's control flow is value-independent, so streaming the
     node ids ``0, 1, 2, …`` as float values with an instrumented adder
     ``op`` observes every association the circuit would perform on any
-    data with this timing.  The recording pass costs one cycle-mode
-    replay of the pattern; every later call with the same
-    ``(pattern, alpha, drain_policy)`` is a cache hit.
+    data with this timing.  The recording pass is one
+    :meth:`SingleAdderReduction.run` over the pattern's feed and one
+    ``flush``, the loop cycle mode steps; every later call with the
+    same ``(pattern, alpha, drain_policy)`` is a cache hit.
     """
-    n_inputs = sum(1 for code in pattern if code != PAT_BUBBLE)
+    feed: List[FeedEntry] = []
+    n_inputs = 0
+    for code in pattern:
+        if code == PAT_BUBBLE:
+            feed.append(None)
+        else:
+            feed.append((float(n_inputs), code == PAT_LAST))
+            n_inputs += 1
     ops: List[Tuple[int, int, int]] = []
     next_id = n_inputs
 
@@ -156,18 +164,13 @@ def reduction_program(pattern: bytes, alpha: int = 14,
 
     circuit = SingleAdderReduction(alpha=alpha, drain_policy=drain_policy,
                                    op=record)
-    node = 0
-    for code in pattern:
-        if code == PAT_BUBBLE:
-            circuit.cycle()
-        else:
-            if not circuit.cycle(float(node), last=(code == PAT_LAST)):
-                raise SimulationError(
-                    f"reduction stalled at input {node} while recording "
-                    f"a fast-mode schedule; the pattern violates the "
-                    f"circuit's stall-freedom envelope"
-                )
-            node += 1
+    consumed = circuit.run(feed)
+    if consumed < len(feed):
+        raise SimulationError(
+            f"reduction stalled at input {int(feed[consumed][0])} while "
+            f"recording a fast-mode schedule; the pattern violates the "
+            f"circuit's stall-freedom envelope"
+        )
     flush_cycles = circuit.flush()
 
     # Group the additions by dependency depth for vectorized replay.

@@ -228,6 +228,28 @@ class TestServiceCore:
         states = sorted(r["state"] for r in drained["results"])
         assert states == ["done", "failed"]
 
+    @pytest.mark.parametrize("operation", ["dot", "gemm", "spmxv", "cg"])
+    def test_unbuildable_call_fails_alone(self, operation):
+        # n = 2**62 passes validation, but NumPy refuses the operand
+        # size before allocating anything: that one call fails with
+        # the error text and the rest of the epoch still runs.
+        service = BlasService()
+        submit(service, "t", {"operation": "dot", "n": 64, "seed": 0},
+               client_id=0)
+        submit(service, "t", {"operation": operation, "n": 2**62,
+                              "seed": 0}, client_id=1)
+        submit(service, "u", {"operation": "gemv", "n": 16, "seed": 0},
+               client_id=2)
+        drained = service.handle({"op": "drain"})
+        by_id = {r["id"]: r for r in drained["results"]}
+        assert [by_id[i]["state"] for i in range(3)] == [
+            "done", "failed", "done"]
+        assert "operands could not be built" in by_id[1]["error"]
+        jobs = service.handle({"op": "metrics"})["metrics"]["jobs"]
+        assert (jobs["completed"], jobs["failed"]) == (2, 1)
+        assert (jobs["completed"] + jobs["failed"] + jobs["rejected"]
+                + jobs["quota_throttles"]) == jobs["submitted"]
+
     def test_hello_binds_and_unknown_op_errors(self):
         service = BlasService()
         hello = service.handle({"op": "hello", "tenant": "astro"})
@@ -359,6 +381,30 @@ class TestTcpServer:
         assert drained["results"][0]["state"] == "done"
         assert metrics["metrics"]["jobs"]["completed"] == 1
         assert bogus["type"] == "error"
+        assert bye["type"] == "shutdown"
+
+    def test_unbuildable_call_fails_alone_over_socket(self):
+        service = BlasService()
+        thread, port = _start_server(service)
+        responses = asyncio.run(_roundtrip(port, [
+            {"op": "hello", "tenant": "astro"},
+            {"op": "submit", "id": 0, "at": 0.0,
+             "call": {"operation": "dot", "n": 2**62, "seed": 0}},
+            {"op": "submit", "id": 1, "at": 0.0,
+             "call": {"operation": "dot", "n": 64, "seed": 1}},
+            {"op": "drain"},
+            {"op": "metrics"},
+            {"op": "shutdown"},
+        ]))
+        thread.join(10)
+        assert not thread.is_alive()
+        _, first, second, drained, metrics, bye = responses
+        assert first["type"] == second["type"] == "accepted"
+        states = {r["id"]: r["state"] for r in drained["results"]}
+        assert states == {0: "failed", 1: "done"}
+        jobs = metrics["metrics"]["jobs"]
+        assert (jobs["completed"], jobs["failed"], jobs["submitted"]) \
+            == (1, 1, 2)
         assert bye["type"] == "shutdown"
 
     def test_invalid_program_rejected_over_socket(self):
