@@ -93,6 +93,9 @@ def decode(line: "bytes | str") -> Dict[str, Any]:
         message = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        # A short line can nest deeper than the parser's stack.
+        raise ProtocolError("JSON nested too deeply") from None
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
     return message

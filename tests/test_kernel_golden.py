@@ -8,9 +8,10 @@ field of each ``DotProductRun``, ``MvmRun``, ``SpmxvRun``,
 ``MultiFpgaRun`` and ``MatrixMultiplyRun`` on an edge grid — k = 1,
 odd k, n not a multiple of k, a throttled dot, blocked gemv in both
 storage orders, empty sparse rows, asum, gangs with one and two
-b-blocks per side, single-blade gemm with one to three m-blocks per
-side on zero-padded operands — so the values and cycle counts must
-match the code that recorded them.  Every case must produce the same
+b-blocks per side (one of them folding each C′ in two row bands),
+single-blade gemm with one to three m-blocks per side on zero-padded
+operands — so the values and cycle counts must match the code that
+recorded them.  Every case must produce the same
 digest in both sim modes, except asum, which has no fast mode, and
 single-blade gemm, which has no ``sim_mode``: its non-strict run is
 pinned everywhere and its ``strict=True`` per-MAC replay, whose cycle
@@ -94,9 +95,10 @@ COLUMN_KS = (1, 2, 4, 8)
 COLUMN_NCOLS = 37
 ASUM_KS = (1, 2, 3, 4, 8)
 ASUM_NS = (1, 7, 64, 1000)
-#: (n, l, k, m, b); two of them have two b-blocks per side.
+#: (n, l, k, m, b); three of them have two b-blocks per side, and the
+#: last folds each C′ in two row bands in fast mode (b = 384, m = 32).
 GANGS = ((64, 2, 8, 8, 64), (64, 4, 8, 16, 64), (128, 3, 8, 16, 64),
-         (96, 6, 4, 8, 48), (128, 1, 8, 32, 128))
+         (96, 6, 4, 8, 48), (128, 1, 8, 32, 128), (768, 6, 8, 32, 384))
 #: Single-blade gemm (n, k, m, p): n×n operands whose leading p×p
 #: block holds data and the rest is zero padding, as the executing
 #: path pads a call to a multiple of m.  n/m is 1, 2 or 3.
@@ -340,6 +342,8 @@ GOLDEN = {
         "b1001ce54d575de411a1ffab1b0ac11baa51062d26e4a3e59c375dadf46818ff",
     "gang-n64-l4-k8-m16-b64":
         "987392d1620f5d93bfbcabac1eaa15446a4da9b9505b3787fcae8140cf5d6da9",
+    "gang-n768-l6-k8-m32-b384":
+        "5f12b588d06ce416d9a0a9d766084db10315296b732fa589e91070879085973c",
     "gang-n96-l6-k4-m8-b48":
         "5c5eea217aa7f665729c4fe944a248dc5cc1475faaae1d782393f28c07118d3d",
     "gemm-n128-k8-m64-p96":

@@ -29,6 +29,13 @@ class TestEncoding:
         with pytest.raises(protocol.ProtocolError, match="UTF-8"):
             protocol.decode(b'{"op":"drain"}\xff\n')
 
+    def test_decode_rejects_deep_nesting_as_protocol_error(self):
+        # 200 KB, far under the stream limit, but deeper than the
+        # parser's recursion limit: a typed error, not RecursionError.
+        line = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        with pytest.raises(protocol.ProtocolError, match="nested"):
+            protocol.decode(line)
+
 
 class TestValidateCall:
     def test_minimal_spec(self):

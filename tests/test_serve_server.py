@@ -479,6 +479,35 @@ class TestTcpServer:
         assert third["type"] == "shutdown"
         assert "client_connected_cb" not in caplog.text
 
+    def test_deeply_nested_line_gets_error_and_connection_survives(
+            self, caplog):
+        service = BlasService()
+        thread, port = _start_server(service)
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+            await writer.drain()
+            first = protocol.decode(await reader.readline())
+            writer.write(protocol.encode({"op": "metrics"}))
+            await writer.drain()
+            second = protocol.decode(await reader.readline())
+            writer.write(protocol.encode({"op": "shutdown"}))
+            await writer.drain()
+            third = protocol.decode(await reader.readline())
+            writer.close()
+            return first, second, third
+
+        first, second, third = asyncio.run(scenario())
+        thread.join(10)
+        assert not thread.is_alive()
+        assert first["type"] == "error"
+        assert "nested" in first["detail"]
+        assert second["type"] == "metrics"
+        assert third["type"] == "shutdown"
+        assert "client_connected_cb" not in caplog.text
+
     def test_oversize_line_gets_one_error_then_close(
             self, monkeypatch, caplog):
         from repro.serve import server as server_module

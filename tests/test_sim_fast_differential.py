@@ -20,14 +20,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.blas import api
+from repro.blas import api, multi_fpga
 from repro.blas.level1 import DotProductDesign
 from repro.blas.level2 import (
     ColumnMajorMvmDesign,
     MvmHazardError,
     TreeMvmDesign,
 )
-from repro.blas.multi_fpga import (MultiFpgaMatrixMultiply,
+from repro.blas.multi_fpga import (MultiFpgaMatrixMultiply, _band_rows,
+                                   _block_products,
                                    _slab_matmul_consistent)
 from repro.faults import FaultPlan
 from repro.runtime import BlasRuntime, JobState
@@ -67,6 +68,60 @@ def test_report_covers_every_kernel():
     assert archs == {"tree", "column"}
     assert any("block" in case for case in DEFAULT_GRID)
     assert any("blades" in case for case in DEFAULT_GRID)
+
+
+# ----------------------------------------------------------------------
+# the fast gang's row bands and its self-check
+# ----------------------------------------------------------------------
+#: n = 2b, b = 384, m = 32: two b-blocks per side, and fast mode folds
+#: each C′ in two row bands (``_band_rows(384, 32) == 192``).
+BANDED = {"l": 6, "k": 8, "m": 32, "b": 384}
+
+
+def _banded_operands(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * BANDED["b"]
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
+class TestGangBands:
+    def test_banded_fast_run_equals_cycle_run(self):
+        # Real-valued operands: the band loop, the i/j/q loops and the
+        # closed-form dram/link/MAC counters against the stepped path.
+        design = MultiFpgaMatrixMultiply(**BANDED)
+        assert _band_rows(design.b, design.m) < design.b
+        assert _slab_matmul_consistent(design.b, design.m), \
+            "gang fast path declined eligibility"
+        A, B = _banded_operands(384)
+        mismatches = compare_runs(design.run(A, B),
+                                  design.run(A, B, sim_mode="fast"))
+        assert not mismatches, mismatches
+
+    def test_failed_self_check_steps_the_block_products(self,
+                                                         monkeypatch):
+        def fold(*args):
+            raise AssertionError("fast fold ran after a failed check")
+
+        monkeypatch.setattr(multi_fpga, "_slab_matmul_consistent",
+                            lambda b, m: False)
+        monkeypatch.setattr(multi_fpga, "_fold_row_bands", fold)
+        design = MultiFpgaMatrixMultiply(**BANDED)
+        A, B = _banded_operands(5)
+        mismatches = compare_runs(design.run(A, B),
+                                  design.run(A, B, sim_mode="fast"))
+        assert not mismatches, mismatches
+
+    def test_batched_reference_equals_2d_block_products(self):
+        b, m = BANDED["b"], BANDED["m"]
+        rows = _band_rows(b, m)
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((rows, m))
+        w = rng.standard_normal((m, b))
+        expected = np.empty((rows, b))
+        for g in range(0, rows, m):
+            for h in range(0, b, m):
+                expected[g:g + m, h:h + m] = a[g:g + m] @ w[:, h:h + m]
+        assert np.array_equal(_block_products(a, w, m), expected)
 
 
 # ----------------------------------------------------------------------
