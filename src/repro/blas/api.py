@@ -503,13 +503,6 @@ class BlasCall:
         B = np.asarray(self.operands[1], dtype=np.float64)
         size = max(p, q, r)
         m, padded = gemm_geometry(p, q, r, self.k, self.m)
-        if (p, q) == (padded, padded) and r == padded:
-            a_pad, b_pad = A, B
-        else:
-            a_pad = np.zeros((padded, padded))
-            b_pad = np.zeros((padded, padded))
-            a_pad[:p, :q] = A
-            b_pad[:q, :r] = B
         area = self._area()
         clock = self._clock(area)
         # Useful flops only; cycles include any padding work, so the
@@ -518,17 +511,27 @@ class BlasCall:
         use_fast = self.sim_mode == "fast"
         crossing = 0
         if self.blades > 1:
+            if (p, q) == (padded, padded) and r == padded:
+                a_pad, b_pad = A, B
+            else:
+                a_pad = np.zeros((padded, padded))
+                b_pad = np.zeros((padded, padded))
+                a_pad[:p, :q] = A
+                b_pad[:q, :r] = B
             gang = self._gang_design(m, padded)
             run = (fastsim.fast_multi_fpga_mm(gang, a_pad, b_pad)
                    if use_fast else gang.run(a_pad, b_pad))
+            C = run.C[:p, :r]
             bandwidth = run.dram_bandwidth_mbytes(clock) / 1e3
             crossing = self._inter_chassis_cycles(m, padded)
         else:
             # The single-blade PE array's cycle model is already
-            # analytic (closed-form timing + block matmuls), so fast
-            # mode runs the same path — the "already exact" tier.
+            # analytic (closed-form timing + an exact-order sweep), so
+            # fast mode runs the same path — the "already exact" tier.
+            # The array pads the operands to its order itself.
             design = MatrixMultiplyDesign(k=self.k, m=m)
-            run = design.run(a_pad, b_pad, strict=self.strict)
+            run = design.run(A, B, strict=self.strict)
+            C = run.C
             bandwidth = run.memory_bandwidth_gbytes(clock)
         total_cycles = run.total_cycles + crossing
         report = PerfReport(
@@ -540,7 +543,7 @@ class BlasCall:
             efficiency=useful_flops / (total_cycles
                                        * run.peak_flops_per_cycle),
         )
-        return BlasResult(run.C[:p, :r], report)
+        return BlasResult(C, report)
 
 
 # ----------------------------------------------------------------------

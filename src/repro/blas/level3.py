@@ -22,23 +22,43 @@ Claims reproduced by the simulator: effective latency n³/k cycles,
 storage 2m² words, bandwidth 3k/m words/cycle, I/O complexity
 Θ(n³/m) — the Hong-Kung lower bound for internal memory 2m².
 
-Each C′ cell adds its n products in z order, starting from +0.0, so
-the default run is one rank-1 sweep ``C += A[:, z] ⊗ B[z, :]`` for
-z = 0…n−1 over the whole matrix, with closed-form cycle and traffic
-counters; it calls no BLAS, so neither FMA nor a library's summation
-order reaches the bits.  ``strict`` mode keeps the per-cycle replay:
-every MAC of every block product at its scheduled cycle, with per-cell
-hazard tracking (cross-validated against the sweep in the test suite).
+The array owns the zero padding: ``run`` takes A (p×q) and B (q×r) as
+a call gives them and works at order n = m·⌈max(p, q, r)/m⌉, the order
+the host pads to, so every cycle and traffic counter is the padded
+array's.  Each C′ cell adds its products in z order, starting from
++0.0, so the default run is a rank-1 sweep ``C += A[:, z] ⊗ B[z, :]``
+over z < q on the p×r result, with closed-form counters.  The sweep
+forms the products of ``_BLOCK_WORDS // (p·r)`` z-steps at a time with
+one ``einsum`` (no summed index, no BLAS call) and adds them into C one
+z at a time, in order.  This gives the padded array's bits exactly:
+
+* each product is one rounding of a·b (a fused a·b + 0 rounds the
+  same), and only the sign of an exact-zero product can differ;
+* a padded term is +0.0·+0.0, and a sum that starts from +0.0 is never
+  −0.0, so adding a signed zero never changes it, even when the data
+  holds inf or NaN; padded rows and columns of C are never observed.
+
+Neither FMA nor a library's summation order reaches the bits.
+``strict`` mode pads to n×n and keeps the per-cycle replay: every MAC
+of every block product at its scheduled cycle, with per-cell hazard
+tracking (cross-validated against the sweep in the test suite), and
+returns C cropped to p×r.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.engine import SimulationError
+
+
+#: Words of rank-1 products the sweep forms per einsum (1 MiB of
+#: float64).
+_BLOCK_WORDS = 1 << 17
 
 
 class MmHazardError(SimulationError):
@@ -163,37 +183,52 @@ class MatrixMultiplyDesign:
     # ------------------------------------------------------------------
     def run(self, A: np.ndarray, B: np.ndarray,
             strict: bool = False) -> MatrixMultiplyRun:
-        """Simulate C = A·B for n×n matrices (n a multiple of m).
+        """Simulate C = A·B for A p×q and B q×r.
 
-        Sweeps the rank-1 updates ``C += A[:, z] ⊗ B[z, :]`` in z order
-        from a zero C: each cell sums its products in the PE array's
-        order.  ``strict=True`` replays each block product cycle by
-        cycle instead, with hazard checks, and counts the replayed
-        cycles."""
+        The array zero-pads both to n×n, n = m·⌈max(p, q, r)/m⌉, and
+        counts the padded array's cycles and traffic; C is p×r.  The
+        sweep adds the rank-1 updates ``C += A[:, z] ⊗ B[z, :]`` for
+        z < q in order from a zero C, so each cell sums its products in
+        the PE array's order; the padded z-steps add only +0.0.  Each
+        block of ``_BLOCK_WORDS // (p·r)`` z-steps gets its products
+        from one einsum into a reused buffer.  ``strict=True`` replays
+        each padded block product cycle by cycle instead, with hazard
+        checks, and counts the replayed cycles."""
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
-        if A.ndim != 2 or A.shape != B.shape or A.shape[0] != A.shape[1]:
-            raise ValueError("A and B must be equal square matrices")
-        n = A.shape[0]
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise ValueError("A and B must be p×q and q×r matrices")
+        (p, q), r = A.shape, B.shape[1]
         m, k = self.m, self.k
-        if n % m:
-            raise ValueError(f"n = {n} must be a multiple of m = {m}")
-        nb = n // m
+        nb = math.ceil(max(p, q, r) / m)
+        n = nb * m
 
-        C = np.zeros((n, n))
         if strict:
+            a_pad = np.zeros((n, n))
+            b_pad = np.zeros((n, n))
+            a_pad[:p, :q] = A
+            b_pad[:q, :r] = B
+            C = np.zeros((n, n))
             compute_cycles = 0
             for g in range(nb):
                 for h in range(nb):
                     c_block = C[g * m:(g + 1) * m, h * m:(h + 1) * m]
                     for z in range(nb):
                         compute_cycles += self._block_multiply_strict(
-                            A[g * m:(g + 1) * m, z * m:(z + 1) * m],
-                            B[z * m:(z + 1) * m, h * m:(h + 1) * m],
+                            a_pad[g * m:(g + 1) * m, z * m:(z + 1) * m],
+                            b_pad[z * m:(z + 1) * m, h * m:(h + 1) * m],
                             c_block)
+            C = C[:p, :r]
         else:
-            for a_col, b_row in zip(A.T, B):
-                C += a_col[:, None] * b_row
+            C = np.zeros((p, r))
+            steps = max(1, _BLOCK_WORDS // max(1, p * r))
+            products = np.empty((min(steps, q), p, r))
+            for z0 in range(0, q, steps):
+                block = products[:min(steps, q - z0)]
+                np.einsum("iz,zj->zij", A[:, z0:z0 + steps],
+                          B[z0:z0 + steps], out=block)
+                for product in block:
+                    C += product
             compute_cycles = nb ** 3 * self.block_compute_cycles()
 
         total = (self.startup_cycles() + compute_cycles

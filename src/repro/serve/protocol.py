@@ -91,7 +91,9 @@ def decode(line: "bytes | str") -> Dict[str, Any]:
             raise ProtocolError(f"not valid UTF-8: {exc}") from None
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal longer than Python's
+        # int-conversion digit limit.
         raise ProtocolError(f"not valid JSON: {exc}") from None
     except RecursionError:
         # A short line can nest deeper than the parser's stack.

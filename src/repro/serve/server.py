@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import logging
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -73,6 +75,8 @@ from repro.workloads import poisson_2d
 #: result object per admitted call on a single line, so the default
 #: 64 KiB readline limit is far too small for 10k-request epochs.
 STREAM_LIMIT = 1 << 24
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,19 @@ class AdmittedCall:
     tenant: str
     at: float
     spec: Dict[str, Any]
+
+
+def _arrival_time(value: Any) -> Optional[float]:
+    """A submit's ``at`` as a float, or ``None`` unless it is a
+    non-negative finite number; an integer past the float range is not
+    one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        at = float(value)
+    except OverflowError:
+        return None
+    return at if math.isfinite(at) and at >= 0.0 else None
 
 
 def materialize(spec: Mapping[str, Any]) -> BlasRequest:
@@ -309,15 +326,13 @@ class BlasService:
             return protocol.rejected(
                 client_id, protocol.REJECT_INVALID,
                 "submit needs a tenant (or a prior hello)")
-        at = message.get("at", 0.0)
-        if not isinstance(at, (int, float)) or isinstance(at, bool) \
-                or not np.isfinite(at) or at < 0.0:
+        at = _arrival_time(message.get("at", 0.0))
+        if at is None:
             self._c_submitted.inc()
             self._reject(self._now, tenant, protocol.REJECT_INVALID)
             return protocol.rejected(
                 client_id, protocol.REJECT_INVALID,
                 "at must be a non-negative finite number")
-        at = float(at)
         self._now = max(self._now, at)
         self._c_submitted.inc()
         try:
@@ -669,7 +684,15 @@ class BlasServer:
                         and default_tenant is not None):
                     message = dict(message)
                     message["tenant"] = default_tenant
-                response = self.service.handle(message)
+                try:
+                    response = self.service.handle(message)
+                except Exception as exc:
+                    # A fault in one message must not cost the client
+                    # its connection: log it, answer it, keep serving.
+                    _log.exception("serve: %r failed", message.get("op"))
+                    response = protocol.error(
+                        f"{message.get('op')!r} failed: "
+                        f"{type(exc).__name__}: {exc}")
                 if (message.get("op") == "hello"
                         and response.get("ok")):
                     default_tenant = response["tenant"]

@@ -7,14 +7,13 @@ trailing-matrix update ``A22 -= A21 · A12`` runs on the Level-3 matrix
 multiply PE array (the "computation-intensive part") — exactly the
 processor/FPGA partitioning the paper's Section 1 prescribes.
 
-Because the PE array multiplies square m-multiple blocks, trailing
-updates are tiled into m×m tiles and padded at the fringe; the padding
-traffic is accounted.
+The PE array multiplies square m-multiple blocks: it zero-pads each
+trailing update to its order itself and charges the padded cycles and
+traffic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -62,19 +61,11 @@ class BlockedLu:
     # ------------------------------------------------------------------
     def _fpga_gemm_update(self, A21: np.ndarray, A12: np.ndarray
                           ) -> Tuple[np.ndarray, int]:
-        """Compute A21 · A12 on the PE array, tiled to square
-        m-multiples with zero padding at the fringe."""
-        m = self.mm.m
-        rows, inner = A21.shape
-        cols = A12.shape[1]
-        size = max(rows, inner, cols)
-        padded = m * math.ceil(size / m)
-        Ap = np.zeros((padded, padded))
-        Bp = np.zeros((padded, padded))
-        Ap[:rows, :inner] = A21
-        Bp[:inner, :cols] = A12
-        run = self.mm.run(Ap, Bp)
-        return run.C[:rows, :cols], run.total_cycles
+        """Compute A21 · A12 on the PE array.  The array zero-pads the
+        operands to its order (a square m-multiple) itself, so the
+        cycles include the fringe's padding work."""
+        run = self.mm.run(A21, A12)
+        return run.C, run.total_cycles
 
     def factor(self, A: np.ndarray) -> LuResult:
         """Factor P·A = L·U (partial pivoting)."""

@@ -6,10 +6,15 @@ For arbitrary shapes, parallelism and data, each simulated design must
 bit-identical.
 """
 
+import dataclasses
+import math
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blas import level3
 from repro.blas.level1 import DotProductDesign
 from repro.blas.level2 import ColumnMajorMvmDesign, TreeMvmDesign
 from repro.blas.level3 import MatrixMultiplyDesign
@@ -78,15 +83,56 @@ def test_mm_matches_numpy_and_formulas(mk, blocks, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2 ** 31))
-def test_mm_strict_equals_fast(seed):
+@given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 20),
+       st.integers(0, 2 ** 31))
+def test_mm_strict_equals_fast(p, q, r, seed):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((16, 16))
-    B = rng.standard_normal((16, 16))
+    A = rng.standard_normal((p, q))
+    B = rng.standard_normal((q, r))
     design = MatrixMultiplyDesign(k=4, m=8, alpha_add=7)
     fast = design.run(A, B)
     strict = design.run(A, B, strict=True)
+    assert fast.C.shape == (p, r)
     assert np.array_equal(fast.C, strict.C)
+
+
+def _with_specials(rng, shape):
+    """Normals with about a quarter of the entries replaced by signed
+    zeros and infinities."""
+    values = rng.standard_normal(shape)
+    special = rng.random(shape) < 0.25
+    values[special] = rng.choice([0.0, -0.0, np.inf, -np.inf],
+                                 size=int(special.sum()))
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([(2, 8), (4, 8), (4, 16)]),
+       st.integers(1, 4096), st.integers(0, 2 ** 31))
+def test_mm_unpadded_equals_padded_cropped(p, q, r, km, block_words,
+                                           seed):
+    """The array's own padding is the host's: a p×q by q×r run equals
+    the run on operands zero-padded to n×n, cropped to p×r, byte for
+    byte (NaN and signed zeros included), whatever z-steps each
+    einsum of the sweep forms."""
+    rng = np.random.default_rng(seed)
+    A = _with_specials(rng, (p, q))
+    B = _with_specials(rng, (q, r))
+    k, m = km
+    design = MatrixMultiplyDesign(k=k, m=m)
+    n = m * math.ceil(max(p, q, r) / m)
+    a_pad = np.zeros((n, n))
+    b_pad = np.zeros((n, n))
+    a_pad[:p, :q] = A
+    b_pad[:q, :r] = B
+    with np.errstate(invalid="ignore"):  # inf − inf is NaN here
+        with mock.patch.object(level3, "_BLOCK_WORDS", block_words):
+            run = design.run(A, B)
+        padded = design.run(a_pad, b_pad)
+    assert run.C.tobytes() == padded.C[:p, :r].tobytes()
+    assert dataclasses.replace(run, C=None) == \
+        dataclasses.replace(padded, C=None)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,13 +10,17 @@ odd k, n not a multiple of k, a throttled dot, blocked gemv in both
 storage orders, empty sparse rows, asum, gangs with one and two
 b-blocks per side (one of them folding each C′ in two row bands),
 single-blade gemm with one to three m-blocks per side on zero-padded
-operands — so the values and cycle counts must match the code that
+operands and on short and rectangular operands that the array pads
+itself — so the values and cycle counts must match the code that
 recorded them.  Every case must produce the same
 digest in both sim modes, except asum, which has no fast mode, and
 single-blade gemm, which has no ``sim_mode``: its non-strict run is
 pinned everywhere and its ``strict=True`` per-MAC replay, whose cycle
-counters differ, for n <= 32.  The arrays of ``poisson_2d``, which
-every serve spmxv and cg request streams, are pinned byte for byte.
+counters differ, for n <= 32.  The short single-blade cases were
+recorded by zero-padding the operands to n×n, as ``BlasCall`` did
+before the array took the padding over, and cropping C to p×r.  The
+arrays of ``poisson_2d``, which every serve spmxv and cg request
+streams, are pinned byte for byte.
 
 Operands come from integer arithmetic and one IEEE division each, not
 from an RNG, so the digests hold on any host and NumPy version.  The
@@ -108,6 +112,14 @@ GEMMS = ((16, 2, 16, 16), (16, 4, 16, 13), (16, 4, 8, 11),
          (128, 8, 64, 96))
 #: The strict per-MAC replay steps every cycle; it runs for n <= 32.
 STRICT_MAX_N = 32
+#: Single-blade gemm on operands as a call gives them, A p×q and B q×r
+#: (p, q, r, k, m, strict); the array pads them to n×n itself.  No p,
+#: q or r is a multiple of m, (5, 3, 9) has q < m, and (370, 50, 381)
+#: has p·r over the sweep's product block, so each einsum forms one z.
+SHORT_GEMMS = ((13, 20, 7, 4, 8, False), (5, 3, 9, 2, 8, False),
+               (40, 24, 17, 8, 16, False), (24, 24, 24, 4, 16, False),
+               (97, 70, 100, 8, 32, False), (370, 50, 381, 8, 32, False),
+               (11, 6, 13, 4, 8, True), (20, 9, 30, 4, 16, True))
 POISSON_GRIDS = (1, 2, 3, 7, 16, 20)
 
 
@@ -138,6 +150,16 @@ def _gemm_operands(n, p):
     B = np.zeros((n, n))
     A[:p, :p] = _vec(p * p, 37).reshape(p, p)
     B[:p, :p] = _vec(p * p, 401).reshape(p, p)
+    A[1, :] = -0.0
+    B[:, 2] = 0.0
+    return A, B
+
+
+def _short_gemm_operands(p, q, r):
+    """A (p×q) and B (q×r) unpadded, with the signed-zero row of A and
+    the zero column of B of :func:`_gemm_operands`."""
+    A = _vec(p * q, 43).reshape(p, q)
+    B = _vec(q * r, 409).reshape(q, r)
     A[1, :] = -0.0
     B[:, 2] = 0.0
     return A, B
@@ -174,6 +196,10 @@ def _cases():
         yield name, ("gemm", k, n, (m, p, False))
         if n <= STRICT_MAX_N:
             yield f"{name}-strict", ("gemm", k, n, (m, p, True))
+    for p, q, r, k, m, strict in SHORT_GEMMS:
+        tag = "-strict" if strict else ""
+        yield (f"gemm-p{p}-q{q}-r{r}-k{k}-m{m}{tag}",
+               ("gemm-short", k, (p, q, r), (m, strict)))
 
 
 CASES = dict(_cases())
@@ -206,6 +232,10 @@ def _run(case, mode):
         m, p, strict = extra
         return MatrixMultiplyDesign(k=k, m=m).run(
             *_gemm_operands(size, p), strict=strict)
+    if op == "gemm-short":
+        m, strict = extra
+        return MatrixMultiplyDesign(k=k, m=m).run(
+            *_short_gemm_operands(*size), strict=strict)
     design = SpmxvDesign(k=k)
     matrix = SPARSE[size]()
     return design.run(matrix, _vec(matrix.ncols, 907), sim_mode=mode)
@@ -378,6 +408,22 @@ GOLDEN = {
         "cff59e21fec4afc4bba64643c2cf0c901d91bf607b51bde5fdd8b75a2d831f35",
     "gemm-n96-k8-m32-p96":
         "135eb92b57ce45f26abdccc0c23a56d525aa15bfcf229d668b0a427edfe07fc0",
+    "gemm-p11-q6-r13-k4-m8-strict":
+        "88b98d2ea588a2c13b847e6aeafbb2bbc1a4a670974697379ecb373f945eb10b",
+    "gemm-p13-q20-r7-k4-m8":
+        "b4a792bb810359c584b51532ffcf8b944b92c1edb00bca3c1041cff5c7d8d608",
+    "gemm-p20-q9-r30-k4-m16-strict":
+        "22abd1efa38067b361b2de3adc571342d4c5b59ab7c10c63b67a918906ed1796",
+    "gemm-p24-q24-r24-k4-m16":
+        "527981eaf5cb5d4ffeb4b42156e311ae36e0663f93d511337d79e9fd3eda8f6a",
+    "gemm-p370-q50-r381-k8-m32":
+        "b13a717b6732a390a31a9aab79ab0e7d1d2ddd5d96b88cb5d8aa15272d46aba2",
+    "gemm-p40-q24-r17-k8-m16":
+        "fe37bcb4a20531b839f128b0744cf813123944c9bf74b76aad8b0a9a6ed6ec3f",
+    "gemm-p5-q3-r9-k2-m8":
+        "2bcfba8986efbc25dc47ffc8d29b0fa4c3d880b791bba1d2b8db69c1695b92c4",
+    "gemm-p97-q70-r100-k8-m32":
+        "22348163e735ed8964cd0acb8e4123a1d66a0af3cf5d34d39b0a5591bc144493",
     "gemv-column-k1-r14":
         "2ef370f1687ddec076fefd213ba09106f7c09827387ecacd150595f1533824f0",
     "gemv-column-k1-r23":
@@ -489,12 +535,12 @@ def test_empty_rows_fixture_has_leading_and_trailing_empties():
 
 def _modes(case):
     """The sim modes a case runs in: asum steps only, and a gemm case
-    names its one mode by its ``strict`` flag."""
+    names its one mode by its ``strict`` flag (last in its extras)."""
     op, _, _, extra = CASES[case]
     if op == "asum":
         return ("cycle",)
-    if op == "gemm":
-        return ("cycle",) if extra[2] else ("fast",)
+    if op in ("gemm", "gemm-short"):
+        return ("cycle",) if extra[-1] else ("fast",)
     return ("cycle", "fast")
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the Level-3 matrix multiply PE array."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,17 +44,30 @@ class TestCorrectness:
         run = MatrixMultiplyDesign(k=k, m=m).run(A, B)
         np.testing.assert_allclose(run.C, A @ B, rtol=1e-11, atol=1e-11)
 
-    def test_n_must_be_multiple_of_m(self, rng):
+    @pytest.mark.parametrize("p,q,r", [(24, 24, 24), (16, 32, 16)])
+    def test_array_pads_operands_itself(self, rng, p, q, r):
+        # A 24×24 run at m = 16 and a (16×32)·(32×16) run are the
+        # zero-padded 32×32 run, cropped, bit for bit.
         design = MatrixMultiplyDesign(k=4, m=16)
-        A = rng.standard_normal((24, 24))
-        with pytest.raises(ValueError, match="multiple of m"):
-            design.run(A, A)
+        A = rng.standard_normal((p, q))
+        B = rng.standard_normal((q, r))
+        a_pad = np.zeros((32, 32))
+        b_pad = np.zeros((32, 32))
+        a_pad[:p, :q] = A
+        b_pad[:q, :r] = B
+        run = design.run(A, B)
+        padded = design.run(a_pad, b_pad)
+        assert run.C.shape == (p, r)
+        assert np.array_equal(run.C, padded.C[:p, :r])
+        assert dataclasses.replace(run, C=None) == \
+            dataclasses.replace(padded, C=None)
+        assert run.n == 32 and run.flops == 2 * 32 ** 3
 
-    def test_non_square_rejected(self, rng):
+    def test_inner_dimension_mismatch_rejected(self, rng):
         design = MatrixMultiplyDesign(k=4, m=16)
         with pytest.raises(ValueError):
             design.run(rng.standard_normal((16, 32)),
-                       rng.standard_normal((32, 16)))
+                       rng.standard_normal((16, 16)))
 
     def test_identity(self, rng):
         design = MatrixMultiplyDesign(k=4, m=16)

@@ -36,6 +36,13 @@ class TestEncoding:
         with pytest.raises(protocol.ProtocolError, match="nested"):
             protocol.decode(line)
 
+    def test_decode_rejects_integer_past_digit_limit(self):
+        # Python refuses to convert an integer literal over 4300 digits:
+        # a typed error, not a bare ValueError.
+        line = b'{"at":' + b"1" * 5000 + b"}\n"
+        with pytest.raises(protocol.ProtocolError, match="JSON"):
+            protocol.decode(line)
+
 
 class TestValidateCall:
     def test_minimal_spec(self):

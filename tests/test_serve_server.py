@@ -182,6 +182,15 @@ class TestServiceCore:
                 "call": {"operation": "dot", "n": 8}})
             assert response["reason"] == protocol.REJECT_INVALID
 
+    def test_huge_integer_arrival_time_rejected(self):
+        # 10**400 has no float value; it must be a typed reject, not a
+        # TypeError out of the finiteness check.
+        service = BlasService()
+        response = service.handle({
+            "op": "submit", "tenant": "t", "at": 10 ** 400,
+            "call": {"operation": "dot", "n": 8}})
+        assert response["reason"] == protocol.REJECT_INVALID
+
     def test_quota_exhaustion_typed_reject(self):
         """Satellite scenario end-to-end: burst spent at t=0 -> every
         further submit rejected with reason quota_exhausted."""
@@ -358,6 +367,19 @@ async def _roundtrip(port, messages):
     return responses
 
 
+async def _raw_roundtrip(port, lines):
+    """Send each raw line and read one reply to it, on one
+    connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    replies = []
+    for line in lines:
+        writer.write(line)
+        await writer.drain()
+        replies.append(protocol.decode(await reader.readline()))
+    writer.close()
+    return replies
+
+
 class TestTcpServer:
     def test_full_session_over_socket(self):
         service = BlasService()
@@ -506,6 +528,59 @@ class TestTcpServer:
         assert "nested" in first["detail"]
         assert second["type"] == "metrics"
         assert third["type"] == "shutdown"
+        assert "client_connected_cb" not in caplog.text
+
+    def test_huge_integer_arrival_time_gets_reject_and_connection_survives(
+            self, caplog):
+        service = BlasService()
+        thread, port = _start_server(service)
+        huge_at = (b'{"op":"submit","tenant":"astro","at":1'
+                   + b"0" * 400
+                   + b',"call":{"operation":"dot","n":8}}\n')
+        first, second, third = asyncio.run(_raw_roundtrip(port, [
+            huge_at,
+            protocol.encode({"op": "metrics"}),
+            protocol.encode({"op": "shutdown"})]))
+        thread.join(10)
+        assert not thread.is_alive()
+        assert first["type"] == "rejected"
+        assert first["reason"] == protocol.REJECT_INVALID
+        assert second["type"] == "metrics"
+        assert third["type"] == "shutdown"
+        assert "client_connected_cb" not in caplog.text
+
+    def test_integer_past_digit_limit_gets_error_and_connection_survives(
+            self, caplog):
+        service = BlasService()
+        thread, port = _start_server(service)
+        first, second, third = asyncio.run(_raw_roundtrip(port, [
+            b'{"op":"submit","at":' + b"1" * 5000 + b"}\n",
+            protocol.encode({"op": "metrics"}),
+            protocol.encode({"op": "shutdown"})]))
+        thread.join(10)
+        assert first["type"] == "error"
+        assert "not valid JSON" in first["detail"]
+        assert second["type"] == "metrics"
+        assert third["type"] == "shutdown"
+        assert "client_connected_cb" not in caplog.text
+
+    def test_fault_in_handle_gets_error_and_connection_survives(
+            self, monkeypatch, caplog):
+        service = BlasService()
+
+        def broken_drain():
+            raise RuntimeError("drain broke")
+
+        monkeypatch.setattr(service, "drain", broken_drain)
+        thread, port = _start_server(service)
+        first, second, third = asyncio.run(_roundtrip(port, [
+            {"op": "drain"}, {"op": "metrics"}, {"op": "shutdown"}]))
+        thread.join(10)
+        assert first["type"] == "error"
+        assert "RuntimeError: drain broke" in first["detail"]
+        assert second["type"] == "metrics"
+        assert third["type"] == "shutdown"
+        assert "drain broke" in caplog.text  # logged with its traceback
         assert "client_connected_cb" not in caplog.text
 
     def test_oversize_line_gets_one_error_then_close(
