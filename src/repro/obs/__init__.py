@@ -9,8 +9,8 @@ per-cycle rows of :mod:`repro.sim.trace`:
 
 * :mod:`repro.obs.recorder` — :class:`TraceRecorder` records spans,
   instant events and counter time-series in the executor's
-  deterministic virtual time; :class:`NullRecorder` is the zero-cost
-  disabled path.
+  deterministic virtual time; :class:`NullRecorder` drops every
+  event (tracing off).
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto
   or ``chrome://tracing``) and JSON-lines exporters.
 * :mod:`repro.obs.drift` — plan-vs-actual profiling: compares each

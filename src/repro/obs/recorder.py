@@ -16,11 +16,9 @@ trace of the same seeded workload is reproducible byte for byte):
 :class:`TraceRecorder` stores events append-only by default, or as a
 bounded ring with a dropped-events counter (``max_events=``); exporters
 (:mod:`repro.obs.export`) render them as Chrome trace-event JSON or
-JSON lines.  :class:`NullRecorder` is the disabled fast path: it has
-``enabled = False`` and allocation-free no-op methods, and every
-instrumentation site in the executor guards its event construction
-behind ``recorder.enabled`` — tracing off costs one attribute check
-per site, not a dict per event.
+JSON lines.  :class:`NullRecorder` is the disabled path: its methods
+drop every event.  Instrumentation sites call the recorder unguarded,
+so tracing off still builds each event's arguments and drops them.
 """
 
 from __future__ import annotations
@@ -93,8 +91,6 @@ class TraceRecorder:
     evictions — exposed by the exporters so a truncated trace is
     never mistaken for a complete one.
     """
-
-    enabled = True
 
     def __init__(self, max_events: Optional[int] = None) -> None:
         if max_events is not None and max_events < 1:
@@ -198,14 +194,11 @@ class TraceRecorder:
 
 
 class NullRecorder:
-    """Disabled-tracing fast path: no storage, no-op methods.
+    """Disabled tracing: no storage, and every method drops its event.
 
-    ``enabled`` is False so instrumentation sites skip building event
-    payloads entirely; the methods exist so un-guarded call sites stay
-    correct anyway.
+    ``span`` returns the id −1, which no recorded span has;
+    :func:`repro.obs.attach_kernel_trace` treats it as no parent.
     """
-
-    enabled = False
 
     def span(self, name: str, cat: str, track: str,
              start: float, end: float,

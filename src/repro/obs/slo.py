@@ -424,8 +424,7 @@ class SloMonitor:
             if breached_now and not state.breached:
                 state.breaches += 1
                 state.last_breach_ts = now
-                if self.recorder is not None \
-                        and self.recorder.enabled:
+                if self.recorder is not None:
                     self.recorder.instant(
                         "slo.breach", cat="slo", track="slo", ts=now,
                         args={"objective": objective.name,
@@ -434,8 +433,7 @@ class SloMonitor:
                 if self.flight is not None:
                     self.flight.on_breach(objective.name, now)
             elif state.breached and not breached_now \
-                    and self.recorder is not None \
-                    and self.recorder.enabled:
+                    and self.recorder is not None:
                 self.recorder.instant(
                     "slo.recover", cat="slo", track="slo", ts=now,
                     args={"objective": objective.name})

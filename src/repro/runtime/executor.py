@@ -100,9 +100,10 @@ fault-plane instants (``fault.injected``, ``job.retry``,
 ``blade.quarantined``, ``job.degraded``), and queue-depth plus
 per-blade busy counter time-series.  Export with
 :mod:`repro.obs.export` (Chrome trace JSON, JSON lines) and audit the
-``BlasCall.plan`` predictors with :mod:`repro.obs.drift`.  The default
-:data:`repro.obs.NULL_RECORDER` keeps every instrumentation site
-behind one ``enabled`` check, so disabled tracing allocates nothing.
+``BlasCall.plan`` predictors with :mod:`repro.obs.drift`.  Every site
+calls the recorder unguarded; the default
+:data:`repro.obs.NULL_RECORDER` drops each event, so an untraced run
+still builds the events' arguments (a few microseconds per job).
 """
 
 from __future__ import annotations
@@ -155,9 +156,6 @@ class DeviceSlot:
         self.usable_slices = int(node.fpga.slices * USABLE_SLICE_FRACTION)
         self.free_at = 0.0
         self.resident: Dict[str, int] = {}
-        #: Designs the most recent :meth:`configure` call evicted (the
-        #: executor turns these into trace eviction events).
-        self.last_evicted: List[str] = []
         self._last_used: Dict[str, int] = {}
         self._use_clock = 0
         self.metrics = DeviceMetrics(name=node.name)
@@ -174,26 +172,28 @@ class DeviceSlot:
     def can_ever_hold(self, slices: int) -> bool:
         return slices <= self.usable_slices
 
-    def configure(self, key: str, slices: int) -> bool:
-        """Make ``key`` resident; returns True when a (re)configuration
-        load was needed, evicting LRU designs as required."""
+    def configure(self, key: str, slices: int) -> Optional[List[str]]:
+        """Make ``key`` resident, evicting LRU designs as required.
+
+        Returns the evicted designs when a (re)configuration load was
+        needed, ``None`` when ``key`` was already resident."""
         self._use_clock += 1
-        self.last_evicted = []
         if key in self.resident:
             self._last_used[key] = self._use_clock
-            return False
+            return None
         if not self.can_ever_hold(slices):
             raise ValueError(
                 f"{key} ({slices} slices) exceeds the usable area of "
                 f"{self.name} ({self.usable_slices} slices)")
+        evicted = []
         while self.spare_slices < slices:
             lru = min(self.resident, key=lambda k: self._last_used[k])
             del self.resident[lru]
             del self._last_used[lru]
-            self.last_evicted.append(lru)
+            evicted.append(lru)
         self.resident[key] = slices
         self._last_used[key] = self._use_clock
-        return True
+        return evicted
 
 
 class BlasRuntime:
@@ -238,9 +238,8 @@ class BlasRuntime:
             raise ValueError("batch_limit must be >= 1")
         self.batch_limit = batch_limit
         self.on_xd1 = on_xd1
-        #: Trace sink; the default NULL_RECORDER keeps every
-        #: instrumentation site behind a single ``enabled`` check so
-        #: disabled tracing adds no per-event allocation.
+        #: Trace sink, called unguarded at every instrumentation site;
+        #: the default NULL_RECORDER drops each event.
         self.recorder = NULL_RECORDER if recorder is None else recorder
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
@@ -306,7 +305,6 @@ class BlasRuntime:
         self._gangs_degraded = 0
         self._gangs_multichassis = 0
         self._work_steals = 0
-        self._inter_chassis_cycles = 0
         chassis_sizes: Dict[int, int] = {}
         for device in self.devices:
             chassis_sizes[device.chassis] = \
@@ -456,8 +454,7 @@ class BlasRuntime:
         rec = self.recorder
         self._arrivals.sort(key=lambda j: (j.submitted_at, j.job_id))
         arrivals: Deque[Job] = deque(self._arrivals)
-        if rec.enabled:
-            rec.counter("queue_depth", "queue", 0.0, 0)
+        rec.counter("queue_depth", "queue", 0.0, 0)
 
         while arrivals or self._pending or self._retrying:
             if self._injector is not None:
@@ -468,20 +465,16 @@ class BlasRuntime:
                     and not d.health.quarantined]
             busy = [d for d in self.devices if d.free_at > self._now
                     and not d.health.quarantined]
-            placement = None
             if self._pending and free:
-                placement = self.policy.select(tuple(self._pending),
-                                               free, busy)
-            if placement is not None:
-                self._dispatch(placement)
-                continue
-            if rec.enabled and self._pending and free:
-                reason = self.policy.waiting_reason(
+                placement, wait = self.policy.select(
                     tuple(self._pending), free, busy)
-                if reason is not None:
+                if placement is not None:
+                    self._dispatch(placement)
+                    continue
+                if wait is not None:
                     rec.instant("scheduler.wait", "scheduler",
                                 "scheduler", self._now,
-                                {"reason": reason,
+                                {"reason": wait,
                                  "pending": len(self._pending),
                                  "free_blades": len(free)})
             next_times = [d.free_at for d in self.devices
@@ -502,36 +495,32 @@ class BlasRuntime:
             # capacity reason.
             if self._resolve_unplaceable():
                 continue
-            if rec.enabled:
-                self._sample_depth()
+            self._sample_depth()
         metrics = self._build_metrics()
-        if rec.enabled:
-            args = {"policy": self.policy.name,
-                    "blades": len(self.devices),
-                    "jobs_submitted": metrics.jobs_submitted,
-                    "jobs_completed": metrics.jobs_completed,
-                    "jobs_failed": metrics.jobs_failed,
-                    "jobs_rejected": metrics.jobs_rejected,
-                    "batches": metrics.batches}
-            if self._injector is not None:
-                args["faults_injected"] = metrics.faults_injected
-                args["retries"] = metrics.retries_total
-                args["blades_quarantined"] = metrics.blades_quarantined
-            if metrics.gangs_formed:
-                args["gangs_formed"] = metrics.gangs_formed
-                args["gangs_degraded"] = metrics.gangs_degraded
-            if metrics.gangs_multichassis:
-                args["gangs_multichassis"] = metrics.gangs_multichassis
-                args["inter_chassis_cycles"] = \
-                    metrics.inter_chassis_cycles
-            if metrics.work_steals:
-                args["work_steals"] = metrics.work_steals
-            rec.span("runtime.run", "runtime", "runtime",
-                     0.0, metrics.makespan_seconds, args)
+        args = {"policy": self.policy.name,
+                "blades": len(self.devices),
+                "jobs_submitted": metrics.jobs_submitted,
+                "jobs_completed": metrics.jobs_completed,
+                "jobs_failed": metrics.jobs_failed,
+                "jobs_rejected": metrics.jobs_rejected,
+                "batches": metrics.batches}
+        if self._injector is not None:
+            args["faults_injected"] = metrics.faults_injected
+            args["retries"] = metrics.retries_total
+            args["blades_quarantined"] = metrics.blades_quarantined
+        if metrics.gangs_formed:
+            args["gangs_formed"] = metrics.gangs_formed
+            args["gangs_degraded"] = metrics.gangs_degraded
+        if metrics.gangs_multichassis:
+            args["gangs_multichassis"] = metrics.gangs_multichassis
+            args["inter_chassis_cycles"] = metrics.inter_chassis_cycles
+        if metrics.work_steals:
+            args["work_steals"] = metrics.work_steals
+        rec.span("runtime.run", "runtime", "runtime",
+                 0.0, metrics.makespan_seconds, args)
         return metrics
 
     def _ingest_due(self, arrivals: Deque[Job]) -> None:
-        rec = self.recorder
         while arrivals and arrivals[0].submitted_at <= self._now:
             job = arrivals.popleft()
             if (self.queue_capacity is not None
@@ -539,17 +528,15 @@ class BlasRuntime:
                 job.reject(self._now, RejectReason.QUEUE_FULL,
                            f"queue full ({self.queue_capacity} jobs "
                            "pending)")
-                if rec.enabled:
-                    rec.instant("job.rejected", "lifecycle", "queue",
-                                self._now,
-                                {"job": job.job_id,
-                                 "reason": RejectReason.QUEUE_FULL.value,
-                                 "capacity": self.queue_capacity})
+                self.recorder.instant(
+                    "job.rejected", "lifecycle", "queue", self._now,
+                    {"job": job.job_id,
+                     "reason": RejectReason.QUEUE_FULL.value,
+                     "capacity": self.queue_capacity})
                 continue
             self._pending.append(job)
         self._max_depth = max(self._max_depth, len(self._pending))
-        if rec.enabled:
-            self._sample_depth()
+        self._sample_depth()
 
     def _ingest_retries(self) -> None:
         """Move jobs whose backoff has elapsed back into the queue.
@@ -558,7 +545,6 @@ class BlasRuntime:
         once, so backpressure must not convert a transient fault into a
         rejection.
         """
-        rec = self.recorder
         moved = False
         while self._retrying and self._retrying[0].retry_at <= self._now:
             job = self._retrying.pop(0)
@@ -567,8 +553,7 @@ class BlasRuntime:
             moved = True
         if moved:
             self._max_depth = max(self._max_depth, len(self._pending))
-            if rec.enabled:
-                self._sample_depth()
+            self._sample_depth()
 
     def _sample_depth(self) -> None:
         """Emit a queue-depth counter sample when the depth changed."""
@@ -602,13 +587,10 @@ class BlasRuntime:
                 end = event.at + event.duration
                 device.health.add_downtime(event.at, end)
                 device.free_at = max(device.free_at, end)
-                if self.recorder.enabled:
-                    self.recorder.instant(
-                        "fault.injected", "fault", device.name,
-                        event.at,
-                        {"kind": event.kind.value,
-                         "device": device.name,
-                         "duration": event.duration})
+                self.recorder.instant(
+                    "fault.injected", "fault", device.name, event.at,
+                    {"kind": event.kind.value, "device": device.name,
+                     "duration": event.duration})
                 self._record_device_fault(device, event.at)
 
     def _record_device_fault(self, device: DeviceSlot,
@@ -618,10 +600,9 @@ class BlasRuntime:
                 and count >= self.quarantine_after
                 and not device.health.quarantined):
             device.health.quarantine(at)
-            if self.recorder.enabled:
-                self.recorder.instant(
-                    "blade.quarantined", "fault", device.name, at,
-                    {"device": device.name, "faults": count})
+            self.recorder.instant(
+                "blade.quarantined", "fault", device.name, at,
+                {"device": device.name, "faults": count})
 
     def _schedule_retry(self, job: Job, at: float, reason: str) -> None:
         """Queue one more attempt after an exponential backoff, or fail
@@ -631,9 +612,8 @@ class BlasRuntime:
         if attempt > self.max_retries:
             job.fail(at, f"{reason}; retry budget exhausted "
                          f"({self.max_retries})")
-            if rec.enabled:
-                rec.instant("job.failed", "lifecycle", "scheduler", at,
-                            {"job": job.job_id, "error": job.error})
+            rec.instant("job.failed", "lifecycle", "scheduler", at,
+                        {"job": job.job_id, "error": job.error})
             return
         job.retries = attempt
         job.fault_history.append(reason)
@@ -646,11 +626,10 @@ class BlasRuntime:
         job.retry_at = at + backoff
         self._retrying.append(job)
         self._retrying.sort(key=lambda j: (j.retry_at, j.job_id))
-        if rec.enabled:
-            rec.instant("job.retry", "fault", "scheduler", at,
-                        {"job": job.job_id, "attempt": attempt,
-                         "reason": reason, "backoff": backoff,
-                         "retry_at": job.retry_at})
+        rec.instant("job.retry", "fault", "scheduler", at,
+                    {"job": job.job_id, "attempt": attempt,
+                     "reason": reason, "backoff": backoff,
+                     "retry_at": job.retry_at})
 
     def _try_degrade(self, job: Job,
                      alive: List[DeviceSlot]) -> bool:
@@ -670,11 +649,10 @@ class BlasRuntime:
                 job.plan = plan
                 if job.degraded_from_k is None:
                     job.degraded_from_k = original_k
-                if self.recorder.enabled:
-                    self.recorder.instant(
-                        "job.degraded", "fault", "scheduler", self._now,
-                        {"job": job.job_id, "from_k": original_k,
-                         "to_k": k, "slices": plan.area.slices})
+                self.recorder.instant(
+                    "job.degraded", "fault", "scheduler", self._now,
+                    {"job": job.job_id, "from_k": original_k,
+                     "to_k": k, "slices": plan.area.slices})
                 return True
         job.request.k = original_k
         return False
@@ -694,10 +672,9 @@ class BlasRuntime:
                 job.fail(self._now,
                          f"unplaceable: no free blade accepted the design "
                          f"({slices} slices)")
-                if rec.enabled:
-                    rec.instant("job.unplaceable", "lifecycle",
-                                "scheduler", self._now,
-                                {"job": job.job_id, "slices": slices})
+                rec.instant("job.unplaceable", "lifecycle", "scheduler",
+                            self._now,
+                            {"job": job.job_id, "slices": slices})
             elif (self.degrade and alive
                     and self._try_degrade(job, alive)):
                 survivors.append(job)
@@ -708,13 +685,11 @@ class BlasRuntime:
                     f"capacity lost: design needs {slices} slices and "
                     f"{len(self.devices) - len(alive)} of "
                     f"{len(self.devices)} blade(s) are quarantined")
-                if rec.enabled:
-                    rec.instant(
-                        "job.rejected", "lifecycle", "scheduler",
-                        self._now,
-                        {"job": job.job_id,
-                         "reason": RejectReason.CAPACITY_LOST.value,
-                         "slices": slices})
+                rec.instant("job.rejected", "lifecycle", "scheduler",
+                            self._now,
+                            {"job": job.job_id,
+                             "reason": RejectReason.CAPACITY_LOST.value,
+                             "slices": slices})
         self._pending = survivors
         return progressed
 
@@ -757,7 +732,18 @@ class BlasRuntime:
         else:
             members = [job]
             if width != job.plan.blades_required:
-                job.plan = self._call(job.request, blades=width).plan()
+                try:
+                    job.plan = self._call(job.request,
+                                          blades=width).plan()
+                except (ValueError, MemoryError, SimulationError) as exc:
+                    # No design exists at the seated width (l = 1 runs
+                    # the single-blade array, which needs m²/k > α):
+                    # the job fails like an unplannable submit.
+                    job.fail(self._now, f"planning failed: {exc}")
+                    rec.instant("job.failed", "lifecycle", "scheduler",
+                                self._now, {"job": job.job_id,
+                                            "error": job.error})
+                    return
         plan = job.plan
         chassis_span = len({d.chassis for d in devices})
         batch_id = self._next_batch_id
@@ -765,41 +751,37 @@ class BlasRuntime:
         start = self._now
         if placement.reason == "work-steal":
             self._work_steals += 1
-            if rec.enabled:
-                rec.instant("work.stolen", "scheduler", lead.name, start,
-                            {"job": job.job_id,
-                             "home_chassis": job.request.home_chassis,
-                             "stolen_by_chassis": lead.chassis,
-                             "device": lead.name})
+            rec.instant("work.stolen", "scheduler", lead.name, start,
+                        {"job": job.job_id,
+                         "home_chassis": job.request.home_chassis,
+                         "stolen_by_chassis": lead.chassis,
+                         "device": lead.name})
+        self._sample_depth()
+        rec.instant("scheduler.place", "scheduler", "scheduler", start,
+                    {"job": job.job_id, "device": lead.name,
+                     "policy": self.policy.name,
+                     "reason": placement.reason,
+                     "design": plan.design_key,
+                     "batch_id": batch_id,
+                     "batch_size": len(members),
+                     **({"gang": names} if gang else {})})
+        if len(members) > 1:
+            rec.instant("batch.formed", "batch", "scheduler", start,
+                        {"batch_id": batch_id,
+                         "lead": job.job_id,
+                         "members": [m.job_id for m in members],
+                         "design": plan.design_key})
         if width > 1:
             self._gangs_formed += 1
             if chassis_span > 1:
                 self._gangs_multichassis += 1
-        if rec.enabled:
-            self._sample_depth()
-            rec.instant("scheduler.place", "scheduler", "scheduler",
-                        start,
-                        {"job": job.job_id, "device": lead.name,
-                         "policy": self.policy.name,
-                         "reason": placement.reason,
+            rec.instant("gang.formed", "gang", "scheduler", start,
+                        {"job": job.job_id, "blades": width,
+                         "members": names,
                          "design": plan.design_key,
-                         "batch_id": batch_id,
-                         "batch_size": len(members),
-                         **({"gang": names} if gang else {})})
-            if len(members) > 1:
-                rec.instant("batch.formed", "batch", "scheduler", start,
-                            {"batch_id": batch_id,
-                             "lead": job.job_id,
-                             "members": [m.job_id for m in members],
-                             "design": plan.design_key})
-            if width > 1:
-                rec.instant("gang.formed", "gang", "scheduler", start,
-                            {"job": job.job_id, "blades": width,
-                             "members": names,
-                             "design": plan.design_key,
-                             "chassis": chassis_span,
-                             "inter_chassis_cycles":
-                                 plan.inter_chassis_cycles})
+                         "chassis": chassis_span,
+                         "inter_chassis_cycles":
+                             plan.inter_chassis_cycles})
         for member in members:
             member.device = lead.name
             member.batch_id = batch_id
@@ -812,9 +794,8 @@ class BlasRuntime:
                     for device in devices)
         overhead = (api.gemm_fixed_overhead_cycles(plan.k, plan.m)
                     if len(members) > 1 else 0)
-        if rec.enabled:
-            for device in devices:
-                rec.counter(f"{device.name}:busy", device.name, start, 1)
+        for device in devices:
+            rec.counter(f"{device.name}:busy", device.name, start, 1)
         for i, member in enumerate(members):
             run_start = clock
             # A blade that died before this member got to run aborts
@@ -823,23 +804,21 @@ class BlasRuntime:
                     devices, members[i:], gang, start, run_start):
                 break
             member.transition(JobState.RUNNING, run_start)
-            if rec.enabled:
-                wait_from = (member.retry_at if member.retries
-                             else member.submitted_at)
-                rec.span(f"job{member.job_id}:wait", "queue", "queue",
-                         wait_from, run_start,
-                         {"job": member.job_id,
-                          "operation": member.request.operation,
-                          "attempt": member.retries + 1})
+            wait_from = (member.retry_at if member.retries
+                         else member.submitted_at)
+            rec.span(f"job{member.job_id}:wait", "queue", "queue",
+                     wait_from, run_start,
+                     {"job": member.job_id,
+                      "operation": member.request.operation,
+                      "attempt": member.retries + 1})
             try:
                 outcome = self._execute(member.request, blades=width)
                 result, report = outcome.value, outcome.report
             except (ValueError, MemoryError, SimulationError) as exc:
                 member.fail(clock, f"{type(exc).__name__}: {exc}")
-                if rec.enabled:
-                    rec.instant("job.failed", "lifecycle", lead.name,
-                                clock, {"job": member.job_id,
-                                        "error": member.error})
+                rec.instant("job.failed", "lifecycle", lead.name, clock,
+                            {"job": member.job_id,
+                             "error": member.error})
                 continue
             cycles = max(1, report.total_cycles - (overhead if i else 0))
             seconds = cycles / (report.clock_mhz * 1e6)
@@ -868,30 +847,27 @@ class BlasRuntime:
             member.result = result
             member.report = report
             member.transition(JobState.DONE, clock)
-            crossing = member.plan.inter_chassis_cycles
-            self._inter_chassis_cycles += crossing
-            if rec.enabled:
-                member.run_span_id = rec.span(
-                    f"job{member.job_id}:{member.request.operation}",
-                    "job", lead.name, run_start, clock,
-                    {"job": member.job_id,
-                     "operation": member.request.operation,
-                     "batch_id": batch_id,
-                     **({"gang": width, "chassis": chassis_span}
-                        if gang else {}),
-                     "predicted_cycles": member.plan.predicted_cycles,
-                     "executed_cycles": report.total_cycles,
-                     "charged_cycles": cycles,
-                     **({"inter_chassis_cycles": crossing}
-                        if gang else {}),
-                     "flops": report.flops})
-                if gang:
-                    for index, device in enumerate(devices):
-                        rec.span(f"job{member.job_id}:gang[{index}]",
-                                 "gang", device.name, run_start, clock,
-                                 {"job": member.job_id, "member": index,
-                                  "of": width, "device": device.name},
-                                 parent_id=member.run_span_id)
+            member.run_span_id = rec.span(
+                f"job{member.job_id}:{member.request.operation}",
+                "job", lead.name, run_start, clock,
+                {"job": member.job_id,
+                 "operation": member.request.operation,
+                 "batch_id": batch_id,
+                 **({"gang": width, "chassis": chassis_span}
+                    if gang else {}),
+                 "predicted_cycles": member.plan.predicted_cycles,
+                 "executed_cycles": report.total_cycles,
+                 "charged_cycles": cycles,
+                 **({"inter_chassis_cycles":
+                     member.plan.inter_chassis_cycles} if gang else {}),
+                 "flops": report.flops})
+            if gang:
+                for index, device in enumerate(devices):
+                    rec.span(f"job{member.job_id}:gang[{index}]",
+                             "gang", device.name, run_start, clock,
+                             {"job": member.job_id, "member": index,
+                              "of": width, "device": device.name},
+                             parent_id=member.run_span_id)
             # The member completes once (on the lead) and its flops
             # split across the blades that earned them.
             flops_share = report.flops // width
@@ -905,9 +881,7 @@ class BlasRuntime:
         else:
             for device in devices:
                 device.free_at = clock
-                if rec.enabled:
-                    rec.counter(f"{device.name}:busy", device.name,
-                                clock, 0)
+                rec.counter(f"{device.name}:busy", device.name, clock, 0)
         lead.metrics.batches += 1
 
     def _configure(self, device: DeviceSlot, plan: api.ExecutionPlan,
@@ -925,32 +899,27 @@ class BlasRuntime:
                                                          clock)
             if event is None:
                 break
-            if rec.enabled:
-                rec.instant(
-                    "fault.injected", "fault", device.name, clock,
-                    {"kind": event.kind.value, "device": device.name,
-                     "seconds_lost": self.reconfig_seconds})
-                rec.span("reconfig:aborted", "fault", device.name,
-                         clock, clock + self.reconfig_seconds,
-                         {"device": device.name})
+            rec.instant("fault.injected", "fault", device.name, clock,
+                        {"kind": event.kind.value, "device": device.name,
+                         "seconds_lost": self.reconfig_seconds})
+            rec.span("reconfig:aborted", "fault", device.name,
+                     clock, clock + self.reconfig_seconds,
+                     {"device": device.name})
             clock += self.reconfig_seconds
             device.metrics.reconfig_seconds += self.reconfig_seconds
             self._record_device_fault(device, event.at)
-        if device.configure(key, plan.area.slices):
-            if rec.enabled:
-                for evicted in device.last_evicted:
-                    rec.instant("reconfig.evict", "reconfig",
-                                device.name, start,
-                                {"design": evicted, "for": key})
-                rec.instant("reconfig.load", "reconfig", device.name,
-                            start,
-                            {"design": key,
-                             "bytes": RECONFIG_BITSTREAM_BYTES,
-                             "seconds": self.reconfig_seconds})
-                rec.span(f"reconfig:{key}", "reconfig", device.name,
-                         clock, clock + self.reconfig_seconds,
-                         {"design": key,
-                          "evicted": list(device.last_evicted)})
+        evicted = device.configure(key, plan.area.slices)
+        if evicted is not None:
+            for design in evicted:
+                rec.instant("reconfig.evict", "reconfig", device.name,
+                            start, {"design": design, "for": key})
+            rec.instant("reconfig.load", "reconfig", device.name, start,
+                        {"design": key,
+                         "bytes": RECONFIG_BITSTREAM_BYTES,
+                         "seconds": self.reconfig_seconds})
+            rec.span(f"reconfig:{key}", "reconfig", device.name,
+                     clock, clock + self.reconfig_seconds,
+                     {"design": key, "evicted": evicted})
             clock += self.reconfig_seconds
             device.metrics.reconfigurations += 1
             device.metrics.reconfig_seconds += self.reconfig_seconds
@@ -979,14 +948,12 @@ class BlasRuntime:
         self._injector.consume(crash)
         rec = self.recorder
         width = len(devices)
-        if rec.enabled:
-            rec.instant(
-                "fault.injected", "fault", victim.name, crash.at,
-                {"kind": crash.kind.value, "device": victim.name,
-                 "duration": crash.duration,
-                 "aborted_jobs": [m.job_id for m in unfinished],
-                 **({"gang": [d.name for d in devices]} if gang
-                    else {})})
+        rec.instant("fault.injected", "fault", victim.name, crash.at,
+                    {"kind": crash.kind.value, "device": victim.name,
+                     "duration": crash.duration,
+                     "aborted_jobs": [m.job_id for m in unfinished],
+                     **({"gang": [d.name for d in devices]} if gang
+                        else {})})
         if width > 1:
             job = unfinished[0]
             job.gang_limit = max(1, width // 2)
@@ -995,12 +962,10 @@ class BlasRuntime:
                 job.plan = self._plan(job.request, cap=job.gang_limit)
             except (ValueError, MemoryError, SimulationError):
                 pass  # keep the old plan; the retry re-plans again
-            if rec.enabled:
-                rec.instant(
-                    "gang.degraded", "gang", victim.name, crash.at,
-                    {"job": job.job_id, "from_blades": width,
-                     "to_blades": job.plan.blades_required,
-                     "crashed": victim.name})
+            rec.instant("gang.degraded", "gang", victim.name, crash.at,
+                        {"job": job.job_id, "from_blades": width,
+                         "to_blades": job.plan.blades_required,
+                         "crashed": victim.name})
         what = "gang member crash" if gang else "blade crash"
         for member in unfinished:
             self._schedule_retry(
@@ -1013,27 +978,23 @@ class BlasRuntime:
         for device in devices:
             if device is not victim:
                 device.free_at = crash.at
-            if rec.enabled:
-                rec.counter(f"{device.name}:busy", device.name,
-                            crash.at, 0)
+            rec.counter(f"{device.name}:busy", device.name, crash.at, 0)
         return True
 
     def _apply_stalls(self, device: DeviceSlot, member: Job,
                       run_start: float, seconds: float) -> float:
         """Stretch a run by every memory/interconnect stall striking
         its window; returns the stretched duration."""
-        rec = self.recorder
         events = self._injector.take_stalls(device.name,
                                             run_start + seconds)
         for event in events:
             stretched = seconds * event.multiplier
-            if rec.enabled:
-                rec.instant(
-                    "fault.injected", "fault", device.name, event.at,
-                    {"kind": event.kind.value, "device": device.name,
-                     "job": member.job_id,
-                     "multiplier": event.multiplier,
-                     "seconds_added": stretched - seconds})
+            self.recorder.instant(
+                "fault.injected", "fault", device.name, event.at,
+                {"kind": event.kind.value, "device": device.name,
+                 "job": member.job_id,
+                 "multiplier": event.multiplier,
+                 "seconds_added": stretched - seconds})
             seconds = stretched
             self._record_device_fault(device, event.at)
         return seconds
@@ -1042,15 +1003,13 @@ class BlasRuntime:
                           result, end: float):
         """Apply a due bit-flip fault to the result; returns the
         (possibly corrupted) result."""
-        rec = self.recorder
         event = self._injector.take_corruption(device.name, end)
         if event is not None:
             result, word, bit = self._injector.corrupt(result, event)
-            if rec.enabled:
-                rec.instant(
-                    "fault.injected", "fault", device.name, event.at,
-                    {"kind": event.kind.value, "device": device.name,
-                     "job": member.job_id, "word": word, "bit": bit})
+            self.recorder.instant(
+                "fault.injected", "fault", device.name, event.at,
+                {"kind": event.kind.value, "device": device.name,
+                 "job": member.job_id, "word": word, "bit": bit})
             self._record_device_fault(device, event.at)
         return result
 
@@ -1064,16 +1023,14 @@ class BlasRuntime:
         comparing only the magnitude would wave corrupted answers
         through.
         """
-        rec = self.recorder
         residual = self._residual(result, self._reference(member.request))
         if np.isfinite(residual) and residual <= self.verify_tolerance:
             return False
         self._verify_failures += 1
-        if rec.enabled:
-            rec.instant(
-                "job.verify_failed", "fault", device.name, end,
-                {"job": member.job_id, "residual": residual,
-                 "tolerance": self.verify_tolerance})
+        self.recorder.instant(
+            "job.verify_failed", "fault", device.name, end,
+            {"job": member.job_id, "residual": residual,
+             "tolerance": self.verify_tolerance})
         self._schedule_retry(
             member, end,
             f"result verification failed on {device.name} "
@@ -1133,7 +1090,8 @@ class BlasRuntime:
             gangs_formed=self._gangs_formed,
             gangs_degraded=self._gangs_degraded,
             gangs_multichassis=self._gangs_multichassis,
-            inter_chassis_cycles=self._inter_chassis_cycles,
+            inter_chassis_cycles=sum(j.plan.inter_chassis_cycles
+                                     for j in done),
             work_steals=self._work_steals,
             blades_per_job=blades_per_job,
             devices=[d.metrics for d in self.devices],

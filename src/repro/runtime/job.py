@@ -161,9 +161,10 @@ class Job:
     #: half the failed width (degrading toward l=1) instead of
     #: re-forming the same doomed gang.
     gang_limit: Optional[int] = None
-    #: Trace span id of the RUNNING interval when the runtime recorded
-    #: into a :class:`repro.obs.TraceRecorder`; kernel-level traces
-    #: attach as children of it (:func:`repro.obs.attach_kernel_trace`).
+    #: Trace span id of the RUNNING interval, set once the job is
+    #: DONE; kernel-level traces attach as children of it
+    #: (:func:`repro.obs.attach_kernel_trace`).  An untraced run leaves
+    #: the null recorder's −1, which no recorded span has.
     run_span_id: Optional[int] = None
 
     def transition(self, new_state: JobState, now: float) -> None:

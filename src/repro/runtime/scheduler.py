@@ -1,10 +1,13 @@
 """Placement policies: which queued job runs on which free blade next.
 
 A policy is a pure function of the queue and the free devices — it
-mutates nothing, returning a :class:`Placement` (or ``None`` when no
-queued job fits any free device).  The executor owns all state changes,
-so policies compose with batching, backpressure and the event loop
-without knowing about them.
+mutates nothing.  One pass decides and explains: ``select`` returns
+``(placement, None)`` when a job places, the :class:`Placement`
+carrying why that choice won, or ``(None, wait_reason)`` when the
+policy declines every free device, the reason naming the gang or
+affinity wait (``None`` when nothing fits).  The executor owns all
+state changes, so policies compose with batching, backpressure and the
+event loop without knowing about them.
 
 Every policy is deterministic: ties break on ``job_id`` and then on
 device index, so a replay of the same workload reproduces the same
@@ -73,7 +76,8 @@ class Placement:
 
     ``devices`` holds one blade for ordinary jobs and the whole gang
     (lead blade first) for multi-FPGA jobs.  ``reason`` names why this
-    choice won (``"first-feasible"``, ``"resident"``, ``"best-fit"``,
+    choice won, as decided in the same pass that chose it
+    (``"first-feasible"``, ``"resident"``, ``"best-fit"``,
     ``"evict-lru"``, ``"gang"``, ``"gang-fallback"``,
     ``"gang-multichassis"``, ``"work-steal"``); the executor records
     it on the trace's placement-decision events.
@@ -118,85 +122,70 @@ class SchedulingPolicy:
     def choose_device(self, job: Job,
                       free: Sequence["DeviceSlot"],
                       busy: Sequence["DeviceSlot"] = ()
-                      ) -> Optional["DeviceSlot"]:
-        """Pick a free device for ``job``; default: lowest index that
-        can ever hold the design.  ``busy`` is advisory — a policy may
-        decline a feasible free device to wait for a busy one."""
+                      ) -> Tuple[Optional["DeviceSlot"], Optional[str]]:
+        """Pick a free device for ``job`` and say why; default: the
+        lowest index that can ever hold the design.  ``busy`` is
+        advisory — a policy may decline a feasible free device to wait
+        for a busy one, returning ``(None, wait_reason)``; ``(None,
+        None)`` means nothing fits."""
         for device in sorted(free, key=lambda d: d.index):
             if device.can_ever_hold(job.plan.area.slices):
-                return device
-        return None
-
-    def explain(self, job: Job, device: "DeviceSlot") -> str:
-        """Why ``choose_device`` picked ``device`` — shown on the
-        trace's placement-decision events."""
-        return "first-feasible"
-
-    def waiting_reason(self, queue: Sequence[Job],
-                       free: Sequence["DeviceSlot"],
-                       busy: Sequence["DeviceSlot"] = ()
-                       ) -> Optional[str]:
-        """Why ``select`` declined every free device (None when the
-        policy has nothing deliberate to say — e.g. nothing fits)."""
-        for job in sorted(queue, key=self.order_key):
-            width = gang_width(job)
-            if width <= 1:
-                continue
-            members, reserved = self._select_gang(job, free, busy)
-            if members is None and reserved:
-                return (f"job {job.job_id} waiting to gang "
-                        f"{width} blade(s); {len(reserved)} free "
-                        f"blade(s) reserved on its anchor chassis")
-        return None
+                return device, "first-feasible"
+        return None, None
 
     def select(self, queue: Sequence[Job],
                free: Sequence["DeviceSlot"],
-               busy: Sequence["DeviceSlot"] = ()) -> Optional[Placement]:
-        """First feasible (job, devices) pair in policy order.
+               busy: Sequence["DeviceSlot"] = ()
+               ) -> Tuple[Optional[Placement], Optional[str]]:
+        """First feasible (job, devices) pair in policy order, or why
+        none placed.
 
         Gang jobs that cannot assemble yet reserve their anchor
         chassis's free blades: later jobs in this round only see the
-        remainder, so small jobs cannot starve a waiting gang."""
+        remainder, so small jobs cannot starve a waiting gang.  The
+        first gang wait outranks the first affinity wait as the
+        round's wait reason."""
         if not queue or not free:
-            return None
+            return None, None
         reserved: FrozenSet[int] = frozenset()
+        gang_wait: Optional[str] = None
+        affinity_wait: Optional[str] = None
         for job in sorted(queue, key=self.order_key):
             available = [d for d in free if d.index not in reserved]
             if not available:
-                return None
-            if gang_width(job) > 1:
+                break
+            width = gang_width(job)
+            if width > 1:
                 members, reserve = self._select_gang(job, available,
                                                      busy)
                 if members is not None:
                     if len({d.chassis for d in members}) > 1:
                         reason = "gang-multichassis"
-                    elif len(members) >= gang_width(job):
+                    elif len(members) >= width:
                         reason = "gang"
                     else:
                         reason = "gang-fallback"
-                    return Placement(job, members, reason)
+                    return Placement(job, members, reason), None
+                if reserve and gang_wait is None:
+                    gang_wait = (f"job {job.job_id} waiting to gang "
+                                 f"{width} blade(s); {len(reserve)} free "
+                                 f"blade(s) reserved on its anchor chassis")
                 reserved = reserved | reserve
                 continue
             home = job.request.home_chassis
-            if home is not None:
-                local = [d for d in available if d.chassis == home]
-                if local:
-                    device = self.choose_device(job, local, busy)
-                    if device is not None:
-                        return Placement(job, (device,),
-                                         self.explain(job, device))
-                    continue
+            local = ([d for d in available if d.chassis == home]
+                     if home is not None else [])
+            device, reason = self.choose_device(job, local or available,
+                                                busy)
+            if device is not None:
                 # Home chassis saturated: a drained chassis's free
                 # blade steals the job.
-                device = self.choose_device(job, available, busy)
-                if device is not None:
-                    return Placement(job, (device,), "work-steal")
-                continue
-            device = self.choose_device(job, available, busy)
-            if device is not None:
-                return Placement(job, (device,),
-                                 self.explain(job, device))
-        return None
+                if home is not None and not local:
+                    reason = "work-steal"
+                return Placement(job, (device,), reason), None
+            if affinity_wait is None:
+                affinity_wait = reason
+        return None, gang_wait or affinity_wait
 
     def _select_gang(self, job: Job,
                      free: Sequence["DeviceSlot"],
@@ -316,52 +305,28 @@ class AreaAwarePolicy(SchedulingPolicy):
     def choose_device(self, job: Job,
                       free: Sequence["DeviceSlot"],
                       busy: Sequence["DeviceSlot"] = ()
-                      ) -> Optional["DeviceSlot"]:
+                      ) -> Tuple[Optional["DeviceSlot"], Optional[str]]:
         key = job.plan.design_key
         slices = job.plan.area.slices
         candidates = sorted(free, key=lambda d: d.index)
         resident = [d for d in candidates if d.has_resident(key)]
         if resident:
-            return resident[0]
+            return resident[0], "resident"
         fitting = [d for d in candidates
                    if d.spare_slices >= slices]
         if fitting:
             return min(fitting, key=lambda d: (d.spare_slices - slices,
-                                               d.index))
-        if any(d.has_resident(key) for d in busy):
-            return None  # wait for the blade that already holds it
+                                               d.index)), "best-fit"
+        holder = next((d for d in busy if d.has_resident(key)), None)
+        if holder is not None:
+            # Wait for the blade that already holds the design.
+            return None, (f"job {job.job_id} waiting for {holder.name} "
+                          f"(holds {key})")
         evictable = [d for d in candidates if d.can_ever_hold(slices)]
         if evictable:
             return max(evictable, key=lambda d: (d.spare_slices,
-                                                 -d.index))
-        return None
-
-    def explain(self, job: Job, device: "DeviceSlot") -> str:
-        if device.has_resident(job.plan.design_key):
-            return "resident"
-        if device.spare_slices >= job.plan.area.slices:
-            return "best-fit"
-        return "evict-lru"
-
-    def waiting_reason(self, queue: Sequence[Job],
-                       free: Sequence["DeviceSlot"],
-                       busy: Sequence["DeviceSlot"] = ()
-                       ) -> Optional[str]:
-        """Names the gang wait (shared rule) or the affinity wait: the
-        first queued job whose design is resident on a *busy* blade
-        (rule 3 declines free blades that would need an eviction)."""
-        reason = super().waiting_reason(queue, free, busy)
-        if reason is not None:
-            return reason
-        for job in sorted(queue, key=self.order_key):
-            if gang_width(job) > 1:
-                continue
-            key = job.plan.design_key
-            holders = [d.name for d in busy if d.has_resident(key)]
-            if holders:
-                return (f"job {job.job_id} waiting for {holders[0]} "
-                        f"(holds {key})")
-        return None
+                                                 -d.index)), "evict-lru"
+        return None, None
 
 
 POLICIES: Dict[str, Callable[[], SchedulingPolicy]] = {

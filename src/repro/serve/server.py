@@ -442,14 +442,13 @@ class BlasService:
         instruments are looked up once per epoch."""
         epoch_end = epoch_start + metrics.makespan_seconds
         self._now = max(self._now, epoch_end)
-        if self.recorder.enabled:
-            self.recorder.span(
-                "epoch", cat="serve", track="serve",
-                start=epoch_start, end=epoch_end,
-                args={"epoch": self._epochs, "requests": len(calls),
-                      "completed": metrics.jobs_completed,
-                      "failed": metrics.jobs_failed,
-                      "rejected": metrics.jobs_rejected})
+        self.recorder.span(
+            "epoch", cat="serve", track="serve",
+            start=epoch_start, end=epoch_end,
+            args={"epoch": self._epochs, "requests": len(calls),
+                  "completed": metrics.jobs_completed,
+                  "failed": metrics.jobs_failed,
+                  "rejected": metrics.jobs_rejected})
         self._c_jobs_completed.inc(metrics.jobs_completed)
         self._c_jobs_failed.inc(metrics.jobs_failed)
         self._c_jobs_rejected.inc(metrics.jobs_rejected)
@@ -701,6 +700,10 @@ class BlasServer:
                 if message.get("op") == "shutdown":
                     self._shutdown.set()
                     break
+        except ConnectionError:
+            # The peer went away (a reset, a broken pipe): end this
+            # connection quietly; the service serves the others.
+            pass
         finally:
             writer.close()
             try:

@@ -154,6 +154,19 @@ class TestRuntimeCommand:
         assert payload["gangs"]["formed"] == 3
         assert payload["gangs"]["blades_per_job"] == {"4": 3}
 
+    def test_gang_fallback_without_a_design_fails_the_run(self, capsys):
+        # The first 2-blade gang spans two one-blade chassis; the other
+        # two fall back to the last blade, whose single-blade array
+        # refuses m²/k = 8.  They fail; the command reports it.
+        assert main(["runtime", "--chassis", "3", "--blades", "1",
+                     "--max-gang", "2", "--mix", "gemm",
+                     "--gemm-n", "64", "--gemm-m", "8",
+                     "--jobs", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "1 done / 2 failed" in captured.out
+        assert ("runtime FAILED: 2 job(s) ended FAILED and 0 were "
+                "REJECTED (of 3 submitted)") in captured.err
+
     def test_max_gang_default_off(self, capsys):
         import json
 

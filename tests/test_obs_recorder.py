@@ -89,10 +89,13 @@ class TestTraceRecorder:
 
 
 class TestNullRecorder:
-    def test_disabled_flag(self):
-        assert NullRecorder().enabled is False
-        assert NULL_RECORDER.enabled is False
-        assert TraceRecorder().enabled is True
+    def test_disabled_recorder_keeps_nothing(self):
+        for rec in (NullRecorder(), NULL_RECORDER):
+            rec.instant("i", "c", "t", 0.0, {"a": 1})
+            assert not hasattr(rec, "instants")
+        rec = TraceRecorder()
+        rec.instant("i", "c", "t", 0.0, {"a": 1})
+        assert len(rec) == 1
 
     def test_methods_are_inert(self):
         rec = NullRecorder()

@@ -124,9 +124,8 @@ class TestNoStarvation:
         free, busy = runtime.devices[:2], runtime.devices[2:]
         policy = make_policy("area")
         gang = self._gang_job(1)
-        placement = policy.select([gang], free, busy)
+        placement, reason = policy.select([gang], free, busy)
         assert placement is None
-        reason = policy.waiting_reason([gang], free, busy)
         assert "waiting to gang 4 blade(s)" in reason
         assert "2 free blade(s) reserved" in reason
 
@@ -140,13 +139,16 @@ class TestNoStarvation:
         gang = self._gang_job(1)
         small = Job(job_id=2, request=_gemm_request(rng, 64),
                     plan=small_plan)
-        assert policy.select([gang, small], free, busy) is None
+        placement, reason = policy.select([gang, small], free, busy)
+        assert placement is None
+        assert reason.startswith("job 1 waiting to gang")
         # A small job *ahead* of the gang in policy order still runs.
         first = Job(job_id=1, request=_gemm_request(rng, 64),
                     plan=small_plan)
-        placement = policy.select([first, self._gang_job(2)], free,
-                                  busy)
+        placement, reason = policy.select([first, self._gang_job(2)],
+                                          free, busy)
         assert placement is not None
+        assert reason is None
         assert placement.job is first
 
     def test_gang_completes_against_stream_of_small_jobs(self, rng):

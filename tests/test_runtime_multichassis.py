@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.blas.api import BlasCall
+from repro.obs import TraceRecorder
 from repro.runtime import BlasRequest, BlasRuntime, JobState
 from repro.solvers.cg import cg_iteration_program
 from repro.workloads import cg_program_stream, poisson_2d
@@ -50,6 +51,31 @@ class TestMultiChassisGangs:
         assert job.state is JobState.DONE
         assert metrics.gangs_multichassis == 0
         assert metrics.inter_chassis_cycles == 0
+
+    def test_fallback_without_a_one_blade_design_fails_the_job(
+            self, rng):
+        # Two single-blade gemms hold two of the three one-blade
+        # chassis, so the m = 8 gang falls back to the last blade,
+        # where the single-blade array refuses m²/k = 8 ≤ α.  The job
+        # fails like an unplannable submit, charges no blade, and the
+        # run goes on.
+        recorder = TraceRecorder()
+        runtime = BlasRuntime(chassis=3, blades=1, max_gang=2,
+                              recorder=recorder)
+        single = [runtime.submit(self._gemm(rng, n=n, max_blades=1))
+                  for n in (128, 96)]
+        gang = runtime.submit(self._gemm(rng, n=64, m=8))
+        assert gang.plan.blades_required == 2
+        metrics = runtime.run()
+        assert [j.state for j in single] == [JobState.DONE] * 2
+        assert gang.state is JobState.FAILED
+        assert gang.error.startswith("planning failed: m²/k = 8")
+        assert gang.device is None
+        assert runtime.devices[2].metrics.busy_seconds == 0.0
+        assert (metrics.jobs_completed, metrics.jobs_failed) == (2, 1)
+        failed = [i for i in recorder.instants if i.name == "job.failed"]
+        assert [(i.ts, i.args["job"]) for i in failed] == [
+            (0.0, gang.job_id)]
 
     def test_plan_vs_charged_drift_is_zero(self, rng):
         # The acceptance bar: crossing cycles are charged from the

@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs import (
     DEFAULT_THRESHOLDS,
+    NULL_RECORDER,
     TraceRecorder,
     chrome_trace_json,
     drift_report,
@@ -84,7 +85,7 @@ class TestRuntimeInstrumentation:
 
     def test_null_recorder_is_default(self):
         runtime = BlasRuntime(blades=1)
-        assert runtime.recorder.enabled is False
+        assert runtime.recorder is NULL_RECORDER
         rng = np.random.default_rng(0)
         runtime.submit(BlasRequest("dot", (rng.standard_normal(64),
                                            rng.standard_normal(64))))

@@ -8,6 +8,8 @@ final class round-trips the same flows over a real asyncio socket.
 import asyncio
 import hashlib
 import json
+import socket
+import struct
 import threading
 
 import numpy as np
@@ -328,6 +330,26 @@ class TestServiceCore:
         registry = service.metrics()["registry"]["metrics"]
         assert registry["runtime.gangs"]["value"] == 1.0
 
+    def test_gang_without_a_one_blade_design_fails_alone(self):
+        # Two single-blade gemms hold two of the three one-blade
+        # chassis, so the m = 8 gemm's 2-blade gang falls back to the
+        # last blade, where the single-blade array refuses m²/k = 8:
+        # that call fails and the epoch still reports all three.
+        service = BlasService(ServeConfig(chassis=3, blades=1,
+                                          max_gang=2))
+        for i, n in enumerate((128, 96)):
+            submit(service, "t", {"operation": "gemm", "n": n, "m": 32,
+                                  "blades": 1, "seed": i}, client_id=i)
+        submit(service, "t", {"operation": "gemm", "n": 64, "m": 8,
+                              "seed": 2}, client_id=2)
+        drained = service.handle({"op": "drain"})
+        states = {r["id"]: r["state"] for r in drained["results"]}
+        assert states == {0: "done", 1: "done", 2: "failed"}
+        jobs = service.handle({"op": "metrics"})["metrics"]["jobs"]
+        assert (jobs["completed"], jobs["failed"]) == (2, 1)
+        assert (jobs["completed"] + jobs["failed"] + jobs["rejected"]
+                + jobs["quota_throttles"]) == jobs["submitted"]
+
     def test_hybrid_clock_same_results_as_virtual(self):
         def run(mode):
             config = ServeConfig(clock_mode=mode, time_scale=1e6)
@@ -614,6 +636,63 @@ class TestTcpServer:
         assert "1024-byte limit" in replies[0]["detail"]
         assert bye["type"] == "shutdown"
         assert "client_connected_cb" not in caplog.text
+
+    @staticmethod
+    async def _served(rude: bool):
+        """One server on this loop: optionally a client that queues
+        3000 submits and resets the connection (TCP RST via SO_LINGER
+        0) without reading a reply, then a well-behaved client's
+        session.  Returns the loop's unhandled-exception contexts and
+        the well-behaved client's (id, state, digest) results."""
+        loop = asyncio.get_running_loop()
+        unhandled = []
+        loop.set_exception_handler(
+            lambda _, context: unhandled.append(context))
+
+        async def settle():
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                _, pending = await asyncio.wait(handlers, timeout=30)
+                assert not pending
+
+        server = BlasServer(BlasService())
+        await server.start()
+        if rude:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(protocol.encode({"op": "hello",
+                                          "tenant": "rude"}))
+            await reader.readline()  # its handler is running
+            writer.write(protocol.encode(
+                {"op": "submit", "at": 0.0,
+                 "call": {"operation": "dot", "n": 16, "seed": 0}})
+                * 3000)
+            await writer.drain()
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER,
+                struct.pack("ii", 1, 0))
+            writer.close()
+            await settle()
+        replies = await _roundtrip(server.port, [
+            {"op": "submit", "id": i, "tenant": "calm", "at": i * 1e-4,
+             "call": {"operation": ("dot", "gemv", "gemm")[i % 3],
+                      "n": 32, "seed": i}}
+            for i in range(6)] + [{"op": "drain"}])
+        await settle()
+        server._server.close()
+        await server._server.wait_closed()
+        return unhandled, [(r["id"], r["state"], r["digest"])
+                           for r in replies[-1]["results"]
+                           if r["tenant"] == "calm"]
+
+    def test_client_reset_ends_its_connection_quietly(self):
+        unhandled, results = asyncio.run(self._served(rude=True))
+        assert unhandled == []
+        quiet_unhandled, quiet = asyncio.run(self._served(rude=False))
+        assert quiet_unhandled == []
+        assert len(quiet) == 6
+        assert all(state == "done" for _, state, _ in quiet)
+        assert results == quiet
 
     def test_ephemeral_port_allocation(self):
         async def scenario():
