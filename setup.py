@@ -5,6 +5,7 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    package_data={"repro.blas": ["exact_gemm.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

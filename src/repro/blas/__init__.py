@@ -6,7 +6,8 @@
   row-major (tree + reduction) and column-major (k accumulator lanes)
   architectures, with block decomposition for large n (Section 4.2).
 * :mod:`repro.blas.level3` — dense matrix multiply on the linear PE
-  array (Section 5.1).
+  array (Section 5.1); :mod:`repro.blas.exact_gemm` is the compiled
+  kernel that sums its cells in the array's order.
 * :mod:`repro.blas.multi_fpga` — the hierarchical multi-FPGA matrix
   multiply exploiting the full memory hierarchy (Section 5.2).
 * :mod:`repro.blas.api` — the user-facing ``dot`` / ``gemv`` / ``gemm``

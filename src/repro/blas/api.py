@@ -249,6 +249,8 @@ class BlasCall:
             self.k = DEFAULT_K[self.operation]
         if self.blades < 1:
             raise ValueError("blades must be >= 1")
+        if self.m is not None and self.m < 1:
+            raise ValueError("m must be a positive integer")
         if self.blades > 1 and self.operation != "gemm":
             raise ValueError(
                 "multi-FPGA gangs exist only for gemm "

@@ -25,12 +25,17 @@ storage 2m² words, bandwidth 3k/m words/cycle, I/O complexity
 The array owns the zero padding: ``run`` takes A (p×q) and B (q×r) as
 a call gives them and works at order n = m·⌈max(p, q, r)/m⌉, the order
 the host pads to, so every cycle and traffic counter is the padded
-array's.  Each C′ cell adds its products in z order, starting from
-+0.0, so the default run is a rank-1 sweep ``C += A[:, z] ⊗ B[z, :]``
-over z < q on the p×r result, with closed-form counters.  The sweep
-forms the products of ``_BLOCK_WORDS // (p·r)`` z-steps at a time with
-one ``einsum`` (no summed index, no BLAS call) and adds them into C one
-z at a time, in order.  This gives the padded array's bits exactly:
+array's, in closed form.  Each C′ cell adds its products in z order,
+starting from +0.0, each product and each add rounded once (the PE's
+multiplier and adder are separate units, Table 2).  The default run
+computes that sum on the p×r result with one compiled C function,
+:mod:`repro.blas.exact_gemm`, which keeps 4×16 cells of sums in vector
+registers and is built once per host.  Without a C compiler it runs
+:func:`sweep`, the same sum in NumPy and the kernel's reference: a
+rank-1 sweep ``C += A[:, z] ⊗ B[z, :]`` over z < q that forms the
+products of ``_BLOCK_WORDS // (p·r)`` z-steps at a time with one
+``einsum`` (no summed index, no BLAS call) and adds them into C one z
+at a time, in order.  Both give the padded array's bits exactly:
 
 * each product is one rounding of a·b (a fused a·b + 0 rounds the
   same), and only the sign of an exact-zero product can differ;
@@ -38,11 +43,12 @@ z at a time, in order.  This gives the padded array's bits exactly:
   −0.0, so adding a signed zero never changes it, even when the data
   holds inf or NaN; padded rows and columns of C are never observed.
 
-Neither FMA nor a library's summation order reaches the bits.
-``strict`` mode pads to n×n and keeps the per-cycle replay: every MAC
-of every block product at its scheduled cycle, with per-cell hazard
-tracking (cross-validated against the sweep in the test suite), and
-returns C cropped to p×r.
+Neither FMA nor a library's summation order reaches the bits; only the
+payload of a NaN cell can differ between the two paths, when the
+operands hold distinct NaN payloads.  ``strict`` mode pads to n×n and
+keeps the per-cycle replay: every MAC of every block product at its
+scheduled cycle, with per-cell hazard tracking (cross-validated against
+the default run in the test suite), and returns C cropped to p×r.
 """
 
 from __future__ import annotations
@@ -53,12 +59,32 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.blas import exact_gemm
 from repro.sim.engine import SimulationError
 
 
 #: Words of rank-1 products the sweep forms per einsum (1 MiB of
 #: float64).
 _BLOCK_WORDS = 1 << 17
+
+
+def sweep(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C = A·B for float64 A p×q and B q×r, each cell summed from +0.0
+    in z order: the rank-1 updates ``C += A[:, z] ⊗ B[z, :]``, with
+    the products of ``_BLOCK_WORDS // (p·r)`` z-steps formed by one
+    einsum into a reused buffer.  The compiled kernel's reference and
+    the path taken without a C compiler."""
+    (p, q), r = A.shape, B.shape[1]
+    C = np.zeros((p, r))
+    steps = max(1, _BLOCK_WORDS // max(1, p * r))
+    products = np.empty((min(steps, q), p, r))
+    for z0 in range(0, q, steps):
+        block = products[:min(steps, q - z0)]
+        np.einsum("iz,zj->zij", A[:, z0:z0 + steps], B[z0:z0 + steps],
+                  out=block)
+        for product in block:
+            C += product
+    return C
 
 
 class MmHazardError(SimulationError):
@@ -186,14 +212,14 @@ class MatrixMultiplyDesign:
         """Simulate C = A·B for A p×q and B q×r.
 
         The array zero-pads both to n×n, n = m·⌈max(p, q, r)/m⌉, and
-        counts the padded array's cycles and traffic; C is p×r.  The
-        sweep adds the rank-1 updates ``C += A[:, z] ⊗ B[z, :]`` for
-        z < q in order from a zero C, so each cell sums its products in
-        the PE array's order; the padded z-steps add only +0.0.  Each
-        block of ``_BLOCK_WORDS // (p·r)`` z-steps gets its products
-        from one einsum into a reused buffer.  ``strict=True`` replays
-        each padded block product cycle by cycle instead, with hazard
-        checks, and counts the replayed cycles."""
+        counts the padded array's cycles and traffic; C is p×r.  Each
+        cell sums its products for z < q from +0.0 in the PE array's
+        order (the padded z-steps add only +0.0), in the compiled
+        :func:`repro.blas.exact_gemm.kernel`, or in :func:`sweep` when
+        no kernel could be built: the same bits either way.
+        ``strict=True`` replays each padded block product cycle by
+        cycle instead, with hazard checks, and counts the replayed
+        cycles."""
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
@@ -220,15 +246,8 @@ class MatrixMultiplyDesign:
                             c_block)
             C = C[:p, :r]
         else:
-            C = np.zeros((p, r))
-            steps = max(1, _BLOCK_WORDS // max(1, p * r))
-            products = np.empty((min(steps, q), p, r))
-            for z0 in range(0, q, steps):
-                block = products[:min(steps, q - z0)]
-                np.einsum("iz,zj->zij", A[:, z0:z0 + steps],
-                          B[z0:z0 + steps], out=block)
-                for product in block:
-                    C += product
+            gemm = exact_gemm.kernel()
+            C = sweep(A, B) if gemm is None else gemm(A, B)
             compute_cycles = nb ** 3 * self.block_compute_cycles()
 
         total = (self.startup_cycles() + compute_cycles

@@ -824,9 +824,9 @@ def _add_workload_options(parser: argparse.ArgumentParser,
                         default="area")
     parser.add_argument("--mix", choices=("mixed", "gemm", "cg"),
                         default="mixed")
-    parser.add_argument("--gemm-n", type=int, default=64,
+    parser.add_argument("--gemm-n", type=_positive_int, default=64,
                         help="matrix order for --mix gemm")
-    parser.add_argument("--gemm-m", type=int, default=None,
+    parser.add_argument("--gemm-m", type=_positive_int, default=None,
                         help="block size for --mix gemm (smaller m "
                              "raises the b/m gang ceiling; the "
                              "12-chassis partitioned runs use 32)")

@@ -637,6 +637,8 @@ class BlasServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
+        #: Each open connection's handler task and its writer.
+        self._clients: Dict[asyncio.Task[None], asyncio.StreamWriter] = {}
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -645,14 +647,27 @@ class BlasServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_until_shutdown(self) -> None:
-        """Run until a client sends ``shutdown`` (or cancellation)."""
+        """Run until a client sends ``shutdown`` (or cancellation).
+
+        On shutdown the server stops listening, closes every other
+        connection and waits for its handler: idle peers read EOF, and
+        no handler is left for the event loop to cancel."""
         if self._server is None:
             await self.start()
         async with self._server:
             await self._shutdown.wait()
+            self._server.close()
+            while self._clients:
+                for writer in self._clients.values():
+                    writer.close()
+                await asyncio.wait(list(self._clients))
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._clients[task] = writer
+            task.add_done_callback(self._clients.pop)
         default_tenant: Optional[str] = None
         try:
             while not reader.at_eof():

@@ -93,6 +93,12 @@ class TestBlasCallValidation:
         with pytest.raises(ValueError, match="blades"):
             BlasCall("gemm", shape=(64, 64, 64), blades=0)
 
+    @pytest.mark.parametrize("m", [0, -8])
+    def test_non_positive_block_size_rejected(self, m):
+        operands = (np.ones((16, 16)), np.ones((16, 16)))
+        with pytest.raises(ValueError, match="m must be a positive"):
+            BlasCall("gemm", operands=operands, m=m).plan()
+
     def test_gangs_only_for_gemm(self):
         with pytest.raises(ValueError, match="only for gemm"):
             BlasCall("dot", shape=(64,), blades=2)

@@ -167,6 +167,13 @@ class TestRuntimeCommand:
         assert ("runtime FAILED: 2 job(s) ended FAILED and 0 were "
                 "REJECTED (of 3 submitted)") in captured.err
 
+    @pytest.mark.parametrize("flag", ["--gemm-n", "--gemm-m"])
+    def test_non_positive_gemm_size_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["runtime", "--mix", "gemm", flag, "0", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_max_gang_default_off(self, capsys):
         import json
 

@@ -8,6 +8,7 @@ final class round-trips the same flows over a real asyncio socket.
 import asyncio
 import hashlib
 import json
+import logging
 import socket
 import struct
 import threading
@@ -426,6 +427,31 @@ class TestTcpServer:
         assert metrics["metrics"]["jobs"]["completed"] == 1
         assert bogus["type"] == "error"
         assert bye["type"] == "shutdown"
+
+    def test_shutdown_closes_idle_peers_without_error(self, caplog):
+        service = BlasService()
+        thread, port = _start_server(service)
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           port)
+            writer.write(protocol.encode({"op": "hello",
+                                          "tenant": "idle"}))
+            await writer.drain()
+            await reader.readline()  # its handler is running
+            bye = await _roundtrip(port, [{"op": "shutdown"}])
+            rest = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            return bye, rest
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            (bye,), rest = asyncio.run(scenario())
+            thread.join(10)
+        assert not thread.is_alive()
+        assert bye["type"] == "shutdown"
+        assert rest == b""  # the idle peer reads EOF
+        assert [record for record in caplog.records
+                if record.name == "asyncio"] == []
 
     def test_unbuildable_call_fails_alone_over_socket(self):
         service = BlasService()
