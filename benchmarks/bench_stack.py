@@ -10,12 +10,19 @@ at ``BENCHMARK.json``'s ``run_seconds``::
 Nothing is written, and the exit status is 1, when any run reports
 ``correct: false`` or the two checkouts disagree on a virtual-time
 metric (those are modeled, so they must be identical).  Otherwise the
-output file gains (or replaces) the entry of this ``(workload, seed)``:
-the pair count and, for every ``end_to_end`` metric of the change's
-``BENCHMARK.json``, each side's runs, median and quartiles and the
-number of pairs the change won by that metric's ``better`` direction
-(ties count for neither side).  ``BENCHMARK.json`` is only read.
-The script imports only the standard library.
+output file gains one entry: the pair count, each checkout's ``git``
+commit (``null`` when the checkout is not the root of a git work tree,
+as a ``git archive`` extract is not; make the parent with ``git clone``
+to record it) and whether it has uncommitted changes other than to the
+output file, and, for every
+``end_to_end`` metric of the change's ``BENCHMARK.json``, each side's
+runs, median and quartiles and the number of pairs the change won by
+that metric's ``better`` direction (ties count for neither side).
+Entries are keyed by workload, seed and the two checkouts' revisions:
+a new key is appended after the earlier entries, which stay as they
+are, and a rerun of the same key replaces its entry.
+``BENCHMARK.json`` is only read.  The script imports only the standard
+library.
 """
 
 import argparse
@@ -46,6 +53,34 @@ def run_once(tree, command, workload, seed, seconds):
     return report
 
 
+def revision(tree, out):
+    """The checkout's HEAD commit and whether it has uncommitted
+    changes other than to the output file ``out``, both ``None``
+    unless ``tree`` is the root of a git work tree."""
+    unknown = {"commit": None, "dirty": None}
+    root, out = os.path.realpath(tree), os.path.realpath(out)
+    status = ["git", "status", "--porcelain"]
+    if out.startswith(root + os.sep):
+        status += ["--", ".", f":(exclude){os.path.relpath(out, root)}"]
+    try:
+        top = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=tree,
+            capture_output=True, text=True, check=True).stdout.split()
+        changes = subprocess.run(status, cwd=tree, capture_output=True,
+                                 text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return unknown
+    if len(top) != 2 or os.path.realpath(top[0]) != root:
+        return unknown
+    return {"commit": top[1], "dirty": bool(changes.strip())}
+
+
+def key(entry):
+    """What an entry compares: a rerun with the same key replaces it."""
+    return (entry["workload"], entry["seed"], entry.get("parent"),
+            entry.get("change"))
+
+
 def summary(values):
     """Median and inclusive quartiles."""
     if len(values) == 1:
@@ -54,11 +89,12 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def entry(metrics, runs, workload, seed, seconds):
-    """The merged entry of one (workload, seed) from paired runs."""
+def entry(metrics, runs, revisions, workload, seed, seconds):
+    """The merged entry of one (workload, seed) from paired runs of the
+    two checkouts at ``revisions``."""
     out = {"workload": workload, "seed": seed,
            "pairs": len(runs["parent"]), "run_seconds": seconds,
-           "metrics": {}}
+           "metrics": {}, **revisions}
     for metric in metrics:
         name = metric["name"]
         sides = {side: [run["metrics"][name]["value"]
@@ -97,6 +133,8 @@ def main(argv=None):
         benchmark = json.load(handle)
     seconds = benchmark["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
+    revisions = {side: revision(tree, args.out)
+                 for side, tree in trees.items()}
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change",
@@ -129,12 +167,10 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as handle:
             merged = json.load(handle)
-    new = entry(benchmark["end_to_end"], runs, args.workload, args.seed,
-                seconds)
-    merged["entries"] = sorted(
-        [e for e in merged["entries"]
-         if (e["workload"], e["seed"]) != (args.workload, args.seed)]
-        + [new], key=lambda e: (e["workload"], e["seed"]))
+    new = entry(benchmark["end_to_end"], runs, revisions, args.workload,
+                args.seed, seconds)
+    merged["entries"] = [e for e in merged["entries"]
+                         if key(e) != key(new)] + [new]
     with open(args.out, "w") as handle:
         json.dump(merged, handle, indent=1, sort_keys=True)
         handle.write("\n")

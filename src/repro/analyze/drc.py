@@ -532,10 +532,11 @@ FAST_FORWARD_EVENT_THRESHOLD = 100_000
 @_rule("DRC009", "fast-forward eligibility",
        "docs/simulation.md; Section 4 cycle models")
 def _check_fast_forward(ctx: _Context) -> Iterator[Diagnostic]:
-    """Every design here has a proven-equivalent fast path
+    """Every stepped design here has a proven-equivalent fast path
     (``--sim-mode fast``); note it when cycle stepping would walk a
-    large number of simulated events.  The single-blade MM is excluded:
-    its cycle model is already analytic, so fast mode buys nothing."""
+    large number of simulated events.  Gemm is excluded: on one blade
+    or a gang it runs one exact-order kernel with closed-form counters
+    in both modes, so fast mode buys nothing."""
     design = ctx.design
     if design.operation == "dot":
         events = -(-design.n // design.k)
@@ -544,9 +545,6 @@ def _check_fast_forward(ctx: _Context) -> Iterator[Diagnostic]:
     elif design.operation == "spmxv":
         # Worst case one chunk per row; actual nnz is data-dependent.
         events = design.n
-    elif design.blades > 1:
-        assert ctx.block_m is not None and ctx.padded is not None
-        events = (ctx.padded // ctx.block_m) ** 3
     else:
         return
     if events < FAST_FORWARD_EVENT_THRESHOLD:

@@ -217,9 +217,11 @@ class BlasCall:
     (default) steps the cycle-accurate designs; ``"fast"`` runs each
     design's proven-equivalent fast branch through the entry points of
     :mod:`repro.sim.fast` (byte-identical results, identical cycle
-    counts).  A design whose fast branch is ineligible — a throttled
-    dot, a gang whose slab self-check fails — steps inside its own
-    ``run``.  Planning is unaffected — plans never execute either way.
+    counts).  A design whose fast branch is ineligible, such as a
+    throttled dot, steps inside its own ``run``.  Gemm has one path in
+    both modes: the single-blade and multi-FPGA arrays compute C with
+    one exact-order kernel and count their cycles in closed form.
+    Planning is unaffected — plans never execute either way.
 
     Design-rule checks live outside the call: ``repro analyze`` for
     designs, :meth:`repro.blas.program.BlasProgram.check` for programs.

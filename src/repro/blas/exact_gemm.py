@@ -1,10 +1,13 @@
-"""The single-blade array's exact-order gemm, compiled and loaded once
-per host.
+"""The PE arrays' exact-order gemm, compiled and loaded once per host.
 
-``exact_gemm.c`` sums each cell of C = A·B from +0.0 in z order,
-rounding each product and each add once, as the PE array of Section 5.1
-does; :func:`repro.blas.level3.sweep` is the same sum in NumPy and the
-reference the tests pin the kernel to, byte for byte.
+``exact_gemm.c`` sums each cell of C = A·B in blocks of z: each block
+from +0.0 in z order, the block sums folded into C in block order,
+rounding each product and each add once.  With one block that is the
+single-blade array of Section 5.1; with blocks of m it is the
+multi-FPGA array of Section 5.2, whose MM units sum the blocks and
+whose extra adder folds them.  :func:`repro.blas.level3.sweep` is the
+same sum in NumPy and the reference the tests pin the kernel to, byte
+for byte.
 
 :func:`kernel` builds the source on first use with ``gcc -O3
 -march=native -ffp-contract=off`` (no contraction, so no fused
@@ -14,8 +17,8 @@ the host CPU's feature flags, so a native build is never loaded on
 another CPU; later processes only load the cached file.  A build is
 written under a temporary name and renamed into place, so a concurrent
 process never loads a partial file.  Without a compiler, or when the
-build or the load fails, :func:`kernel` returns ``None`` and the array
-runs the NumPy sweep: the same bits, slower.
+build or the load fails, :func:`kernel` returns ``None`` and the arrays
+run the NumPy sweep: the same bits, slower.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ SOURCE = "exact_gemm.c"
 NATIVE_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
                 "-fPIC")
 
-Gemm = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Gemm = Callable[..., np.ndarray]
 
 
 def source() -> bytes:
@@ -98,7 +101,7 @@ def _build(code: bytes, flags: Sequence[str], target: Path) -> bool:
         os.replace(partial, target)
         return True
     except (OSError, subprocess.SubprocessError) as exc:
-        _log.warning("exact_gemm: %s build failed (%s); the array runs "
+        _log.warning("exact_gemm: %s build failed (%s); the arrays run "
                      "the NumPy sweep", cc, exc)
         return False
     finally:
@@ -120,21 +123,28 @@ def load(cache: Path, flags: Sequence[str] = NATIVE_FLAGS
     try:
         gemm = ctypes.CDLL(str(target)).gemm
     except (OSError, AttributeError) as exc:
-        _log.warning("exact_gemm: cannot load %s (%s); the array runs "
+        _log.warning("exact_gemm: cannot load %s (%s); the arrays run "
                      "the NumPy sweep", target, exc)
         return None
-    gemm.argtypes = [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p] * 3
-    gemm.restype = None
+    gemm.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 3
+    gemm.restype = ctypes.c_int
 
-    def multiply(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """C = A·B for A p×q and B q×r, in the array's exact order."""
+    def multiply(A: np.ndarray, B: np.ndarray,
+                 block: Optional[int] = None) -> np.ndarray:
+        """C = A·B for A p×q and B q×r, in the arrays' exact order:
+        each ``block``-wide run of z summed from +0.0 and the block
+        sums folded in order (one block when ``block`` is None)."""
         A = np.ascontiguousarray(A, dtype=np.float64)
         B = np.ascontiguousarray(B, dtype=np.float64)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
             raise ValueError("A and B must be p×q and q×r matrices")
+        if block is not None and block < 1:
+            raise ValueError(f"block must be positive, not {block}")
         (p, q), r = A.shape, B.shape[1]
         C = np.empty((p, r))
-        gemm(p, q, r, A.ctypes.data, B.ctypes.data, C.ctypes.data)
+        if gemm(p, q, r, block or 0, A.ctypes.data, B.ctypes.data,
+                C.ctypes.data):
+            raise MemoryError("exact_gemm: no memory for a B panel")
         return C
 
     return multiply

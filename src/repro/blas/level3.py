@@ -28,14 +28,16 @@ the host pads to, so every cycle and traffic counter is the padded
 array's, in closed form.  Each C′ cell adds its products in z order,
 starting from +0.0, each product and each add rounded once (the PE's
 multiplier and adder are separate units, Table 2).  The default run
-computes that sum on the p×r result with one compiled C function,
-:mod:`repro.blas.exact_gemm`, which keeps 4×16 cells of sums in vector
-registers and is built once per host.  Without a C compiler it runs
-:func:`sweep`, the same sum in NumPy and the kernel's reference: a
-rank-1 sweep ``C += A[:, z] ⊗ B[z, :]`` over z < q that forms the
-products of ``_BLOCK_WORDS // (p·r)`` z-steps at a time with one
-``einsum`` (no summed index, no BLAS call) and adds them into C one z
-at a time, in order.  Both give the padded array's bits exactly:
+computes that sum on the p×r result with :func:`exact_product`: one
+compiled C function, :mod:`repro.blas.exact_gemm`, which keeps a tile
+of sums in vector registers and is built once per host, and which the
+multi-FPGA array (:mod:`repro.blas.multi_fpga`) runs with blocks of m.
+Without a C compiler it runs :func:`sweep`, the same sum in NumPy and
+the kernel's reference: a rank-1 sweep ``C += A[:, z] ⊗ B[z, :]`` over
+z < q that forms the products of ``_BLOCK_WORDS // (p·r)`` z-steps at
+a time with one ``einsum`` (no summed index, no BLAS call) and adds
+them into C one z at a time, in order.  Both give the padded array's
+bits exactly:
 
 * each product is one rounding of a·b (a fused a·b + 0 rounds the
   same), and only the sign of an exact-zero product can differ;
@@ -68,23 +70,42 @@ from repro.sim.engine import SimulationError
 _BLOCK_WORDS = 1 << 17
 
 
-def sweep(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """C = A·B for float64 A p×q and B q×r, each cell summed from +0.0
-    in z order: the rank-1 updates ``C += A[:, z] ⊗ B[z, :]``, with
-    the products of ``_BLOCK_WORDS // (p·r)`` z-steps formed by one
-    einsum into a reused buffer.  The compiled kernel's reference and
-    the path taken without a C compiler."""
+def sweep(A: np.ndarray, B: np.ndarray,
+          block: Optional[int] = None) -> np.ndarray:
+    """C = A·B for float64 A p×q and B q×r, summed in the arrays'
+    order: each ``block``-wide run of z (all of z when ``block`` is
+    None) summed from +0.0 in z order, and the block sums folded into
+    +0.0 in block order.  A block is summed by the rank-1 updates
+    ``C += A[:, z] ⊗ B[z, :]``, with the products of ``_BLOCK_WORDS //
+    (p·r)`` z-steps formed by one einsum into a reused buffer.  The
+    compiled kernel's reference and the path taken without a C
+    compiler."""
     (p, q), r = A.shape, B.shape[1]
+    if block is not None and block < 1:
+        raise ValueError(f"block must be positive, not {block}")
     C = np.zeros((p, r))
+    if block is not None and block < q:
+        for z0 in range(0, q, block):
+            C += sweep(A[:, z0:z0 + block], B[z0:z0 + block])
+        return C
     steps = max(1, _BLOCK_WORDS // max(1, p * r))
     products = np.empty((min(steps, q), p, r))
     for z0 in range(0, q, steps):
-        block = products[:min(steps, q - z0)]
+        chunk = products[:min(steps, q - z0)]
         np.einsum("iz,zj->zij", A[:, z0:z0 + steps], B[z0:z0 + steps],
-                  out=block)
-        for product in block:
+                  out=chunk)
+        for product in chunk:
             C += product
     return C
+
+
+def exact_product(A: np.ndarray, B: np.ndarray,
+                  block: Optional[int] = None) -> np.ndarray:
+    """:func:`sweep`'s sum computed by the compiled
+    :func:`repro.blas.exact_gemm.kernel`, or by :func:`sweep` itself
+    when no kernel could be built: the same bits either way."""
+    gemm = exact_gemm.kernel()
+    return sweep(A, B, block) if gemm is None else gemm(A, B, block)
 
 
 class MmHazardError(SimulationError):
@@ -246,8 +267,7 @@ class MatrixMultiplyDesign:
                             c_block)
             C = C[:p, :r]
         else:
-            gemm = exact_gemm.kernel()
-            C = sweep(A, B) if gemm is None else gemm(A, B)
+            C = exact_product(A, B)
             compute_cycles = nb ** 3 * self.block_compute_cycles()
 
         total = (self.startup_cycles() + compute_cycles

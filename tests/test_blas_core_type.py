@@ -1,17 +1,13 @@
-"""Which result bits depend on the BLAS kernel, not only the request.
+"""Gemm result bits depend only on the request, not on the BLAS kernel.
 
 The NumPy wheel's OpenBLAS is built ``DYNAMIC_ARCH``: it picks its
 compute kernel for the CPU at load time, and ``OPENBLAS_CORETYPE``
 overrides the pick.  These tests run one fixed gemm in a subprocess
-per core type and compare the result digests.
-
-* The single-blade PE array calls no BLAS, so its bits hold under
-  every core type.
-* The gang (Section 5.2, fast mode) computes each m-block product with
-  ``a_blk @ b_blk``; OpenBLAS's FMA kernels and summation order then
-  decide the bits.  That test is a strict xfail until the gang runs an
-  exact-order kernel: it starts to pass, and so fails the suite, the
-  moment the dependence is gone.
+per core type and compare the result digests.  Neither the
+single-blade PE array (Section 5.1) nor the gang (Section 5.2) calls
+BLAS: one exact-order kernel sums every cell, each product and each
+add rounded once, so neither OpenBLAS's FMA kernels nor its summation
+order can reach the bits.
 
 Both run only where the comparison means something: OpenBLAS built
 ``DYNAMIC_ARCH`` on a CPU with AVX2 and FMA3, so that the Haswell
@@ -85,8 +81,5 @@ def test_single_blade_bits_do_not_depend_on_the_blas_kernel():
     assert _digest("Prescott", 1) == _digest("Haswell", 1)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the gang's block products run through BLAS (FMA, own summation "
-    "order) until the exact-order gang kernel lands"))
 def test_gang_bits_do_not_depend_on_the_blas_kernel():
     assert _digest("Prescott", 4) == _digest("Haswell", 4)

@@ -1,13 +1,16 @@
 """The compiled exact-order gemm against its NumPy reference.
 
-``repro.blas.exact_gemm`` sums each cell of the single-blade array's
-C from +0.0 in z order, as :func:`repro.blas.level3.sweep` does; its
-bytes must equal the sweep's on any shape, with signed zeros, ±inf and
-NaN (a NaN cell is compared as NaN: distinct input NaN payloads may
-propagate differently), in a native and in a baseline build.  The
-build is cached per source, flags and CPU, and without a compiler the
-array runs the sweep with the same bits.  Tests that need the kernel
-skip when no C compiler is found; CI asserts that one is.
+``repro.blas.exact_gemm`` sums each w-wide block of z of every cell of
+C from +0.0 in z order and folds the block sums in block order (one
+block on the single-blade array, w = m on a gang), as
+:func:`repro.blas.level3.sweep` does; its bytes must equal the sweep's
+on any shape and block width, with signed zeros, ±inf and NaN (a NaN
+cell is compared as NaN: distinct input NaN payloads may propagate
+differently), in the native build, an AVX2 build and a baseline build,
+whose register tiles differ.  The build is cached per source, flags
+and CPU, and without a compiler both arrays run the sweep with the
+same bits.  Tests that need the kernel skip when no C compiler is
+found; CI asserts that one is.
 """
 
 import tempfile
@@ -27,19 +30,33 @@ needs_compiler = pytest.mark.skipif(exact_gemm.compiler() is None,
 
 #: A portable build: no -march, so SSE2 only on x86-64.
 BASELINE_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: An AVX2 build: the 4×16 tile in 256-bit vectors, where the native
+#: build of an AVX-512 host runs 8×16 in 512-bit vectors.
+AVX2_FLAGS = ("-O3", "-march=haswell", "-ffp-contract=off", "-shared",
+              "-fPIC")
 
 #: (p, q, r) with no product (q = 0) or an empty C.
 EMPTY = ((6, 0, 18), (0, 9, 5), (7, 9, 0))
-#: (p, q, r) across the 4×16 tile edges.
-GRID = ((1, 1, 1), (3, 5, 7), (4, 16, 16), (5, 17, 33), (13, 20, 7),
-        (40, 64, 31), (64, 64, 64), (70, 3, 70), (97, 70, 100),
-        (128, 96, 128)) + EMPTY
+#: (p, q, r) across the 4×16 and 8×16 tile edges.
+GRID = ((1, 1, 1), (3, 5, 7), (4, 16, 16), (5, 17, 33), (8, 33, 16),
+        (13, 20, 7), (17, 40, 48), (40, 64, 31), (64, 64, 64),
+        (70, 3, 70), (97, 70, 100), (128, 96, 128)) + EMPTY
+#: Block widths the builds run: one block, and w = 1, 8 and 32.
+BLOCKS = (None, 1, 8, 32)
 
 #: The single-blade golden cases the compiled kernel computes (the
 #: ``strict=True`` ones replay every MAC instead).
 SINGLE_BLADE = sorted(
     case for case, (op, _, _, extra) in test_kernel_golden.CASES.items()
     if op in ("gemm", "gemm-short") and not extra[-1])
+#: The gang golden cases small enough for the NumPy path.
+SMALL_GANGS = sorted(
+    case for case, (op, _, n, _) in test_kernel_golden.CASES.items()
+    if op == "gang" and n <= 128)
+
+
+def _has_avx2_and_fma():
+    return {b"avx2", b"fma"} <= set(exact_gemm._host_cpu().split())
 
 
 def _operands(rng, p, q, r, nan=True):
@@ -96,30 +113,42 @@ def path(request):
 @needs_compiler
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 70), st.integers(1, 70), st.integers(1, 70),
-       st.integers(0, 2 ** 31))
-def test_kernel_bits_equal_the_sweep(p, q, r, seed):
+       st.data(), st.integers(0, 2 ** 31))
+def test_kernel_bits_equal_the_sweep(p, q, r, data, seed):
+    block = data.draw(st.none() | st.integers(1, q + 1), label="block")
     A, B = _operands(np.random.default_rng(seed), p, q, r)
     gemm = exact_gemm.kernel()
     with np.errstate(invalid="ignore"):  # inf − inf and 0·inf are NaN
-        _assert_same_bits(gemm(A, B), level3.sweep(A, B))
+        _assert_same_bits(gemm(A, B, block), level3.sweep(A, B, block))
+
+
+def _assert_build_gives_the_sweeps_bytes(cache, flags):
+    cache.mkdir()
+    gemm = exact_gemm.load(cache, flags)
+    assert gemm is not None
+    rng = np.random.default_rng(2005)
+    for p, q, r in GRID:
+        A, B = _operands(rng, p, q, r, nan=False)
+        for block in BLOCKS:
+            with np.errstate(invalid="ignore"):
+                want = level3.sweep(A, B, block)
+                assert gemm(A, B, block).tobytes() == want.tobytes(), (
+                    p, q, r, block)
 
 
 @needs_compiler
 def test_native_and_baseline_builds_give_the_same_bytes(tmp_path):
-    builds = []
-    for name, flags in (("native", exact_gemm.NATIVE_FLAGS),
-                        ("baseline", BASELINE_FLAGS)):
-        (tmp_path / name).mkdir()
-        builds.append(exact_gemm.load(tmp_path / name, flags))
-    native, baseline = builds
-    assert native is not None and baseline is not None
-    rng = np.random.default_rng(2005)
-    for p, q, r in GRID:
-        A, B = _operands(rng, p, q, r, nan=False)
-        with np.errstate(invalid="ignore"):
-            want = level3.sweep(A, B)
-            assert native(A, B).tobytes() == want.tobytes()
-            assert baseline(A, B).tobytes() == want.tobytes()
+    _assert_build_gives_the_sweeps_bytes(tmp_path / "native",
+                                         exact_gemm.NATIVE_FLAGS)
+    _assert_build_gives_the_sweeps_bytes(tmp_path / "baseline",
+                                         BASELINE_FLAGS)
+
+
+@needs_compiler
+@pytest.mark.skipif(not _has_avx2_and_fma(),
+                    reason="the CPU lacks AVX2 or FMA")
+def test_avx2_build_gives_the_same_bytes(tmp_path):
+    _assert_build_gives_the_sweeps_bytes(tmp_path / "avx2", AVX2_FLAGS)
 
 
 @needs_compiler
@@ -213,6 +242,12 @@ def test_single_blade_golden_on_both_paths(path, case):
     assert test_kernel_golden._digest(run) == test_kernel_golden.GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", SMALL_GANGS)
+def test_gang_golden_on_both_paths(path, case):
+    run = test_kernel_golden._run(case, "fast")
+    assert test_kernel_golden._digest(run) == test_kernel_golden.GOLDEN[case]
+
+
 def test_unpadded_equals_padded_cropped_on_both_paths(path):
     test_blas_properties.test_mm_unpadded_equals_padded_cropped()
 
@@ -251,8 +286,14 @@ def test_kernel_rejects_mismatched_shapes():
         gemm(np.ones(4), np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("block", [0, -8])
+def test_nonpositive_block_is_rejected_on_both_paths(path, block):
+    with pytest.raises(ValueError, match="block must be positive"):
+        level3.exact_product(np.ones((3, 4)), np.ones((4, 2)), block)
+
+
 def test_source_ships_with_the_package():
     text = resources.files("repro.blas").joinpath(
         exact_gemm.SOURCE).read_text()
-    assert "void gemm(" in text
+    assert "int gemm(" in text
     assert exact_gemm.source() == text.encode()

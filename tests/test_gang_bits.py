@@ -4,9 +4,10 @@ A gemm on the Section 5.2 linear array must give the same float64 bits
 whatever the runtime did with it: the gang width (any l ≥ 2), a span
 across chassis, the sim mode, a crash that halved the gang, or a
 batch it joined.  Every test compares digests within one run and pins
-no hash, because the gang's block products still go through the host
-BLAS (see ``tests/test_blas_core_type.py``).  ``l = 1`` runs the
-single-blade array, whose bits differ by design.
+no hash: the gang's bits are pinned by ``tests/test_kernel_golden.py``
+(its ``-frac`` cases) and shown independent of the host BLAS by
+``tests/test_blas_core_type.py``.  ``l = 1`` runs the single-blade
+array, whose bits differ by design.
 """
 
 import numpy as np

@@ -8,26 +8,31 @@ field of each ``DotProductRun``, ``MvmRun``, ``SpmxvRun``,
 ``MultiFpgaRun`` and ``MatrixMultiplyRun`` on an edge grid — k = 1,
 odd k, n not a multiple of k, a throttled dot, blocked gemv in both
 storage orders, empty sparse rows, asum, gangs with one and two
-b-blocks per side (one of them folding each C′ in two row bands),
-single-blade gemm with one to three m-blocks per side on zero-padded
-operands and on short and rectangular operands that the array pads
-itself — so the values and cycle counts must match the code that
-recorded them.  Every case must produce the same
-digest in both sim modes, except asum, which has no fast mode, and
-single-blade gemm, which has no ``sim_mode``: its non-strict run is
-pinned everywhere and its ``strict=True`` per-MAC replay, whose cycle
-counters differ, for n <= 32.  The short single-blade cases were
-recorded by zero-padding the operands to n×n, as ``BlasCall`` did
-before the array took the padding over, and cropping C to p×r.  The
-arrays of ``poisson_2d``, which every serve spmxv and cg request
-streams, are pinned byte for byte.
+b-blocks per side, single-blade gemm with one to three m-blocks per
+side on zero-padded operands and on short and rectangular operands
+that the array pads itself — so the values and cycle counts must match
+the code that recorded them.  Every case must produce the same digest
+in both sim modes, except asum, which has no fast mode, and gemm,
+whose designs have no ``sim_mode``.  A gang runs its one path through
+both of ``BlasCall``'s entries to it, ``design.run`` in cycle mode and
+:func:`repro.sim.fast.fast_multi_fpga_mm` in fast mode.  A non-strict
+single-blade run is pinned once, and its ``strict=True`` per-MAC
+replay, whose cycle counters differ, for n <= 32.  The short
+single-blade cases were recorded by zero-padding the operands to n×n,
+as ``BlasCall`` did before the array took the padding over, and
+cropping C to p×r.  The arrays of ``poisson_2d``, which every serve
+spmxv and cg request streams, are pinned byte for byte.
 
 Operands come from integer arithmetic and one IEEE division each, not
-from an RNG, so the digests hold on any host and NumPy version.  The
-gang's operands are small integers: every product and partial sum is
-then exact, so its digests do not depend on the BLAS kernel that
-computes the block products.  Single-blade gemm calls no BLAS, so its
-digests hold for any operands.
+from an RNG, so the digests hold on any host and NumPy version.  Gemm
+calls no BLAS: one exact-order kernel sums every cell, so its digests
+hold for any operands, on any BLAS and SIMD level.  Most gang cases
+use small integers, whose products and partial sums are exact; the
+``-frac`` gangs use fractions, whose sums round, so their digests pin
+the gang's order (each m-wide block of z summed from +0.0, the block
+sums folded in block order).  Those two were recorded with C computed
+by the NumPy reference ``level3.sweep(A, B, block=m)``, not by the
+kernel.
 """
 
 import dataclasses
@@ -42,6 +47,7 @@ from repro.blas.level1_ext import AsumDesign
 from repro.blas.level2 import ColumnMajorMvmDesign, TreeMvmDesign
 from repro.blas.level3 import MatrixMultiplyDesign
 from repro.blas.multi_fpga import MultiFpgaMatrixMultiply
+from repro.sim.fast import fast_multi_fpga_mm
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.spmxv import SpmxvDesign
 from repro.workloads import poisson_2d
@@ -56,6 +62,13 @@ def _int_matrix(n, salt):
     """n×n of small integers in [-8, 8]."""
     return np.array([(i * 7919 + salt) % 17 - 8
                      for i in range(n * n)], dtype=np.float64).reshape(n, n)
+
+
+def _frac_matrix(n, salt):
+    """n×n of :func:`_vec`'s fractions, in integer NumPy arithmetic and
+    one IEEE division each."""
+    i = np.arange(n * n, dtype=np.int64)
+    return (((i * 7919 + salt) % 1009 - 504) / 1013).reshape(n, n)
 
 
 def _digest(run):
@@ -99,10 +112,13 @@ COLUMN_KS = (1, 2, 4, 8)
 COLUMN_NCOLS = 37
 ASUM_KS = (1, 2, 3, 4, 8)
 ASUM_NS = (1, 7, 64, 1000)
-#: (n, l, k, m, b); three of them have two b-blocks per side, and the
-#: last folds each C′ in two row bands in fast mode (b = 384, m = 32).
+#: (n, l, k, m, b) on small integers; three of them have two b-blocks
+#: per side.
 GANGS = ((64, 2, 8, 8, 64), (64, 4, 8, 16, 64), (128, 3, 8, 16, 64),
          (96, 6, 4, 8, 48), (128, 1, 8, 32, 128), (768, 6, 8, 32, 384))
+#: (n, l, k, m, b) on fractions, whose products and sums round; the
+#: second has two b-blocks per side.
+FRAC_GANGS = ((256, 4, 8, 16, 256), (768, 6, 8, 32, 384))
 #: Single-blade gemm (n, k, m, p): n×n operands whose leading p×p
 #: block holds data and the rest is zero padding, as the executing
 #: path pads a call to a multiple of m.  n/m is 1, 2 or 3.
@@ -187,7 +203,11 @@ def _cases():
         yield (f"gemv-column-k{k}-r256-b{16 * k}",
                ("gemv-column", k, 256, 16 * k))
     for n, l, k, m, b in GANGS:
-        yield f"gang-n{n}-l{l}-k{k}-m{m}-b{b}", ("gang", k, n, (l, m, b))
+        yield (f"gang-n{n}-l{l}-k{k}-m{m}-b{b}",
+               ("gang", k, n, (l, m, b, _int_matrix)))
+    for n, l, k, m, b in FRAC_GANGS:
+        yield (f"gang-n{n}-l{l}-k{k}-m{m}-b{b}-frac",
+               ("gang", k, n, (l, m, b, _frac_matrix)))
     for k in ASUM_KS:
         for n in ASUM_NS:
             yield f"asum-k{k}-n{n}", ("asum", k, n, None)
@@ -222,10 +242,12 @@ def _run(case, mode):
             return design.run_blocked(A, x, extra, sim_mode=mode)
         return design.run(A, x, sim_mode=mode)
     if op == "gang":
-        l, m, b = extra
+        l, m, b, matrix = extra
         design = MultiFpgaMatrixMultiply(l=l, k=k, m=m, b=b)
-        return design.run(_int_matrix(size, 5), _int_matrix(size, 13),
-                          sim_mode=mode)
+        A, B = matrix(size, 5), matrix(size, 13)
+        if mode == "fast":
+            return fast_multi_fpga_mm(design, A, B)
+        return design.run(A, B)
     if op == "asum":
         return AsumDesign(k=k).run(_vec(size, 29))
     if op == "gemm":
@@ -368,12 +390,16 @@ GOLDEN = {
         "5e0067dc3f67d782bdd17544977bac3dd2d5424c300b8c5c53d187d70c9e28f5",
     "gang-n128-l3-k8-m16-b64":
         "582e4c4220343a585c449b44097ef58371c378617e4398ddc891a255c96c7234",
+    "gang-n256-l4-k8-m16-b256-frac":
+        "49ee3c0de8f96bdc9e63f36fc5524df744460e2519737254c7c13d13538c8aa9",
     "gang-n64-l2-k8-m8-b64":
         "b1001ce54d575de411a1ffab1b0ac11baa51062d26e4a3e59c375dadf46818ff",
     "gang-n64-l4-k8-m16-b64":
         "987392d1620f5d93bfbcabac1eaa15446a4da9b9505b3787fcae8140cf5d6da9",
     "gang-n768-l6-k8-m32-b384":
         "5f12b588d06ce416d9a0a9d766084db10315296b732fa589e91070879085973c",
+    "gang-n768-l6-k8-m32-b384-frac":
+        "a42fb9d4fd909d133173a44283b698c52c600bf3225adc4315883c67ac79351d",
     "gang-n96-l6-k4-m8-b48":
         "5c5eea217aa7f665729c4fe944a248dc5cc1475faaae1d782393f28c07118d3d",
     "gemm-n128-k8-m64-p96":

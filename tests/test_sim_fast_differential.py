@@ -6,33 +6,23 @@ errors — across the whole BLAS shape grid, under fault storms, and on
 the multi-FPGA gang.  These tests *are* the proof; the comparator
 lives in :mod:`repro.sim.diff` so the CI ``fast-sim-smoke`` job can
 reuse it for the archived comparison report.
-
-The ≥10x wall-clock gate on the n=1024 gang benchmark runs only when
-``FAST_SIM_GATE=1`` (it steps ~11 s of cycle simulation); the CI job
-sets it.
 """
 
 import dataclasses
 import json
-import os
-import time
 
 import numpy as np
 import pytest
 
-from repro.blas import api, multi_fpga
+from repro.blas import api
 from repro.blas.level1 import DotProductDesign
 from repro.blas.level2 import (
     ColumnMajorMvmDesign,
     MvmHazardError,
     TreeMvmDesign,
 )
-from repro.blas.multi_fpga import (MultiFpgaMatrixMultiply, _band_rows,
-                                   _block_products,
-                                   _slab_matmul_consistent)
 from repro.faults import FaultPlan
 from repro.runtime import BlasRuntime, JobState
-from repro.sim import fast as fastsim
 from repro.sim.diff import (
     DEFAULT_GRID,
     compare_runs,
@@ -68,60 +58,6 @@ def test_report_covers_every_kernel():
     assert archs == {"tree", "column"}
     assert any("block" in case for case in DEFAULT_GRID)
     assert any("blades" in case for case in DEFAULT_GRID)
-
-
-# ----------------------------------------------------------------------
-# the fast gang's row bands and its self-check
-# ----------------------------------------------------------------------
-#: n = 2b, b = 384, m = 32: two b-blocks per side, and fast mode folds
-#: each C′ in two row bands (``_band_rows(384, 32) == 192``).
-BANDED = {"l": 6, "k": 8, "m": 32, "b": 384}
-
-
-def _banded_operands(seed):
-    rng = np.random.default_rng(seed)
-    n = 2 * BANDED["b"]
-    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
-
-
-class TestGangBands:
-    def test_banded_fast_run_equals_cycle_run(self):
-        # Real-valued operands: the band loop, the i/j/q loops and the
-        # closed-form dram/link/MAC counters against the stepped path.
-        design = MultiFpgaMatrixMultiply(**BANDED)
-        assert _band_rows(design.b, design.m) < design.b
-        assert _slab_matmul_consistent(design.b, design.m), \
-            "gang fast path declined eligibility"
-        A, B = _banded_operands(384)
-        mismatches = compare_runs(design.run(A, B),
-                                  design.run(A, B, sim_mode="fast"))
-        assert not mismatches, mismatches
-
-    def test_failed_self_check_steps_the_block_products(self,
-                                                         monkeypatch):
-        def fold(*args):
-            raise AssertionError("fast fold ran after a failed check")
-
-        monkeypatch.setattr(multi_fpga, "_slab_matmul_consistent",
-                            lambda b, m: False)
-        monkeypatch.setattr(multi_fpga, "_fold_row_bands", fold)
-        design = MultiFpgaMatrixMultiply(**BANDED)
-        A, B = _banded_operands(5)
-        mismatches = compare_runs(design.run(A, B),
-                                  design.run(A, B, sim_mode="fast"))
-        assert not mismatches, mismatches
-
-    def test_batched_reference_equals_2d_block_products(self):
-        b, m = BANDED["b"], BANDED["m"]
-        rows = _band_rows(b, m)
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((rows, m))
-        w = rng.standard_normal((m, b))
-        expected = np.empty((rows, b))
-        for g in range(0, rows, m):
-            for h in range(0, b, m):
-                expected[g:g + m, h:h + m] = a[g:g + m] @ w[:, h:h + m]
-        assert np.array_equal(_block_products(a, w, m), expected)
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +202,6 @@ class TestErrorParity:
                                                      sim_mode=mode),
                 lambda: SpmxvDesign(k=2).run(CsrMatrix.from_dense(A), u,
                                              sim_mode=mode),
-                lambda: MultiFpgaMatrixMultiply(l=2, k=2, m=2, b=8).run(
-                    A, A, sim_mode=mode),
             ]
             for design in (TreeMvmDesign(k=2), ColumnMajorMvmDesign(k=2)):
                 calls.append(lambda d=design: d.run(A, u, sim_mode=mode))
@@ -325,35 +259,3 @@ class TestComparator:
         assert payload["ok"]
         assert payload["total"] == len(DEFAULT_GRID)
 
-
-# ----------------------------------------------------------------------
-# the wall-clock gate (CI fast-sim-smoke sets FAST_SIM_GATE=1)
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(os.environ.get("FAST_SIM_GATE") != "1",
-                    reason="set FAST_SIM_GATE=1 to run the ≥10x "
-                           "gang wall-clock gate (~15 s)")
-def test_gang_benchmark_speedup_gate():
-    """The headline claim: the n=1024 gang benchmark runs ≥10x faster
-    in fast mode — while staying field-for-field identical."""
-    n = 1024
-    rng = np.random.default_rng(20050512)
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n))
-    design = MultiFpgaMatrixMultiply(l=6, k=8, m=8, b=n)
-
-    start = time.perf_counter()
-    cycle_run = design.run(A, B)
-    cycle_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    fast_run = fastsim.fast_multi_fpga_mm(design, A, B)
-    fast_s = time.perf_counter() - start
-
-    assert _slab_matmul_consistent(design.b, design.m), \
-        "gang fast path declined eligibility"
-    mismatches = compare_runs(cycle_run, fast_run)
-    assert not mismatches, mismatches
-    speedup = cycle_s / fast_s
-    assert speedup >= 10.0, (
-        f"fast mode only {speedup:.1f}x faster "
-        f"({cycle_s:.2f}s vs {fast_s:.2f}s)")
