@@ -10,6 +10,7 @@
   kernel that sums its cells in the array's order.
 * :mod:`repro.blas.multi_fpga` — the hierarchical multi-FPGA matrix
   multiply exploiting the full memory hierarchy (Section 5.2).
+* :mod:`repro.blas.run` — the rates every design's run record reports.
 * :mod:`repro.blas.api` — the user-facing ``dot`` / ``gemv`` / ``gemm``
   / ``spmxv`` entry points that pair numerical results with performance
   reports, and the :class:`BlasCall` descriptor whose ``plan()`` the

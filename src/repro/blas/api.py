@@ -179,6 +179,8 @@ def gemm_geometry(p: int, q: int, r: int, k: int,
     of truth shared by the executing path, the planning path and the
     design-rule checker (:mod:`repro.analyze.drc`), so geometry cannot
     drift between them."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     size = max(p, q, r)
     if m is None:
         m = k
@@ -208,10 +210,13 @@ class BlasCall:
     operand may be ``None`` when only planning).
 
     ``blades > 1`` plans/executes a gemm on the ``l``-FPGA linear
-    array of Section 5.2 instead of the single-blade PE array.  With
-    ``fpgas_per_chassis`` set and ``blades`` exceeding it, the array
-    spans chassis and both paths charge the same RapidArray
-    boundary-crossing term, keeping plan == execute exact.
+    array of Section 5.2 instead of the single-blade PE array.  Either
+    array pads the operands to its own order, and ``plan`` takes its
+    cycles from the array's ``cycles(n)``, the closed form its ``run``
+    counts.  With ``fpgas_per_chassis`` set and ``blades`` exceeding
+    it, the array spans chassis and both paths charge the same
+    RapidArray boundary-crossing term, keeping plan == execute exact.
+    ``execute`` builds every report in one place, :meth:`_result`.
 
     ``sim_mode`` selects the execution substrate: ``"cycle"``
     (default) steps the cycle-accurate designs; ``"fast"`` runs each
@@ -326,12 +331,13 @@ class BlasCall:
         return (self.clock_mhz if self.clock_mhz is not None
                 else area.clock_mhz)
 
-    def _gang_design(self, m: int,
-                     padded: int) -> MultiFpgaMatrixMultiply:
-        """The l-FPGA array for this call's padded geometry (one b×b
-        block spanning the whole problem, so nb = 1)."""
-        return MultiFpgaMatrixMultiply(l=self.blades, k=self.k, m=m,
-                                       b=padded)
+    def _gemm_design(self, m: int, padded: int) -> Any:
+        """The single-blade array, or for ``blades > 1`` the l-FPGA
+        array with one b×b block spanning the padded problem."""
+        if self.blades > 1:
+            return MultiFpgaMatrixMultiply(l=self.blades, k=self.k, m=m,
+                                           b=padded)
+        return MatrixMultiplyDesign(k=self.k, m=m)
 
     def _inter_chassis_cycles(self, m: int, padded: int) -> int:
         """RapidArray boundary-crossing cycles of a chassis-spanning
@@ -374,46 +380,22 @@ class BlasCall:
                           + reduction_flush_cycles(sets,
                                                    design.alpha_add))
             else:
-                cycles = (ncols * math.ceil(nrows / self.k)
-                          + design.alpha_mul + design.alpha_add)
+                cycles = design.cycles(nrows, ncols)
             n = max(nrows, ncols)
             flops = 2 * nrows * ncols
             operation = f"gemv[{self.architecture}]"
         elif op == "gemm":
             p, q, r = dims
             m, padded = gemm_geometry(p, q, r, self.k, self.m)
-            if self.blades > 1:
-                gang = self._gang_design(m, padded)
-                bm = padded // m
-                # FPGA_0 owns the most m-block-columns:
-                # ⌈bm/l⌉ of bm, over bm² (g, z) sweeps.
-                share = bm * bm * math.ceil(bm / self.blades)
-                crossing = self._inter_chassis_cycles(m, padded)
-                cycles = (share * gang.block_mac_cycles()
-                          + gang.array_latency_cycles()
-                          + gang.mm.startup_cycles()
-                          + gang.mm.drain_cycles() + m * m
-                          + crossing)
-                area = self._area()
-                return ExecutionPlan(
-                    operation="gemm", n=max(p, q, r), k=self.k, m=m,
-                    predicted_cycles=cycles,
-                    clock_mhz=self._clock(area),
-                    flops=2 * p * q * r, area=area,
-                    blades_required=self.blades,
-                    inter_chassis_cycles=crossing)
-            else:
-                design = MatrixMultiplyDesign(k=self.k, m=m)
-                nb = padded // m
-                cycles = (design.startup_cycles()
-                          + nb ** 3 * design.block_compute_cycles()
-                          + design.drain_cycles() + m * m)
+            cycles = self._gemm_design(m, padded).cycles(padded)
+            crossing = self._inter_chassis_cycles(m, padded)
             area = self._area()
             return ExecutionPlan(
                 operation="gemm", n=max(p, q, r), k=self.k, m=m,
-                predicted_cycles=cycles, clock_mhz=self._clock(area),
-                flops=2 * p * q * r, area=area,
-                blades_required=self.blades)
+                predicted_cycles=cycles + crossing,
+                clock_mhz=self._clock(area), flops=2 * p * q * r,
+                area=area, blades_required=self.blades,
+                inter_chassis_cycles=crossing)
         else:  # spmxv
             from repro.sparse.spmxv import SpmxvDesign
 
@@ -446,18 +428,7 @@ class BlasCall:
             design = DotProductDesign(k=self.k)
             run = (fastsim.fast_dot(design, u, v) if use_fast
                    else design.run(u, v))
-            area = self._area()
-            clock = self._clock(area)
-            report = PerfReport(
-                operation="dot", n=run.n, k=self.k,
-                total_cycles=run.total_cycles, clock_mhz=clock,
-                flops=run.flops, area_slices=area.slices,
-                device_utilization=area.utilization,
-                memory_bandwidth_gbytes=run.memory_bandwidth_gbytes(
-                    clock),
-                efficiency=run.efficiency,
-            )
-            return BlasResult(run.result, report)
+            return self._result(run.result, "dot", run.n, run)
         if op == "gemv":
             A, x = self.operands
             design = self._mvm_design()
@@ -467,87 +438,61 @@ class BlasCall:
                 run = design.run_blocked(A, x, self.block)
             else:
                 run = design.run(A, x)
-            area = self._area()
-            clock = self._clock(area)
-            report = PerfReport(
-                operation=f"gemv[{self.architecture}]", n=run.n,
-                k=self.k, total_cycles=run.total_cycles,
-                clock_mhz=clock, flops=run.flops,
-                area_slices=area.slices,
-                device_utilization=area.utilization,
-                memory_bandwidth_gbytes=run.memory_bandwidth_gbytes(
-                    clock),
-                efficiency=run.efficiency,
-            )
-            return BlasResult(run.y, report)
+            return self._result(run.y, f"gemv[{self.architecture}]",
+                                run.n, run)
         if op == "gemm":
-            return self._execute_gemm(dims)
-        # spmxv
+            A, B = self.operands
+            p, q, r = dims
+            m, padded = gemm_geometry(p, q, r, self.k, self.m)
+            design = self._gemm_design(m, padded)
+            # The single-blade array's cycle model is already analytic
+            # (closed-form timing + an exact-order sweep), so fast mode
+            # runs the same path — the "already exact" tier.
+            if self.blades == 1:
+                run = design.run(A, B, strict=self.strict)
+            elif use_fast:
+                run = fastsim.fast_multi_fpga_mm(design, A, B)
+            else:
+                run = design.run(A, B)
+            total = (run.total_cycles
+                     + self._inter_chassis_cycles(m, padded))
+            # Useful flops only; cycles include any padding work, so
+            # the efficiency of a badly-shaped problem honestly
+            # degrades.
+            flops = 2 * p * q * r
+            return self._result(
+                run.C, "gemm", max(p, q, r), run, total_cycles=total,
+                flops=flops,
+                efficiency=flops / (total * run.peak_flops_per_cycle))
         from repro.sparse.spmxv import SpmxvDesign
 
         matrix, x = self.operands
         design = SpmxvDesign(k=self.k)
         run = (fastsim.fast_spmxv(design, matrix, x) if use_fast
                else design.run(matrix, x))
+        return self._result(run.y, "spmxv", run.nrows, run)
+
+    def _result(self, value: Any, operation: str, n: int, run: Any,
+                total_cycles: Optional[int] = None,
+                flops: Optional[int] = None,
+                efficiency: Optional[float] = None) -> BlasResult:
+        """The call's value and its report, from the run's counters and
+        rates and this call's area and clock.  A gemm passes the three
+        numbers it charges beyond its design: the inter-chassis
+        crossing, the useful (unpadded) flops and their efficiency."""
         area = self._area()
         clock = self._clock(area)
-        report = PerfReport(
-            operation="spmxv", n=run.nrows, k=self.k,
-            total_cycles=run.total_cycles, clock_mhz=clock,
-            flops=run.flops, area_slices=area.slices,
+        return BlasResult(value, PerfReport(
+            operation=operation, n=n, k=self.k,
+            total_cycles=(run.total_cycles if total_cycles is None
+                          else total_cycles),
+            clock_mhz=clock,
+            flops=run.flops if flops is None else flops,
+            area_slices=area.slices,
             device_utilization=area.utilization,
             memory_bandwidth_gbytes=run.memory_bandwidth_gbytes(clock),
-            efficiency=run.efficiency,
-        )
-        return BlasResult(run.y, report)
-
-    def _execute_gemm(self, dims: Tuple[int, ...]) -> BlasResult:
-        p, q, r = dims
-        A = np.asarray(self.operands[0], dtype=np.float64)
-        B = np.asarray(self.operands[1], dtype=np.float64)
-        size = max(p, q, r)
-        m, padded = gemm_geometry(p, q, r, self.k, self.m)
-        area = self._area()
-        clock = self._clock(area)
-        # Useful flops only; cycles include any padding work, so the
-        # efficiency of a badly-shaped problem honestly degrades.
-        useful_flops = 2 * p * q * r
-        use_fast = self.sim_mode == "fast"
-        crossing = 0
-        if self.blades > 1:
-            if (p, q) == (padded, padded) and r == padded:
-                a_pad, b_pad = A, B
-            else:
-                a_pad = np.zeros((padded, padded))
-                b_pad = np.zeros((padded, padded))
-                a_pad[:p, :q] = A
-                b_pad[:q, :r] = B
-            gang = self._gang_design(m, padded)
-            run = (fastsim.fast_multi_fpga_mm(gang, a_pad, b_pad)
-                   if use_fast else gang.run(a_pad, b_pad))
-            C = run.C[:p, :r]
-            bandwidth = run.dram_bandwidth_mbytes(clock) / 1e3
-            crossing = self._inter_chassis_cycles(m, padded)
-        else:
-            # The single-blade PE array's cycle model is already
-            # analytic (closed-form timing + an exact-order sweep), so
-            # fast mode runs the same path — the "already exact" tier.
-            # The array pads the operands to its order itself.
-            design = MatrixMultiplyDesign(k=self.k, m=m)
-            run = design.run(A, B, strict=self.strict)
-            C = run.C
-            bandwidth = run.memory_bandwidth_gbytes(clock)
-        total_cycles = run.total_cycles + crossing
-        report = PerfReport(
-            operation="gemm", n=size, k=self.k,
-            total_cycles=total_cycles, clock_mhz=clock,
-            flops=useful_flops, area_slices=area.slices,
-            device_utilization=area.utilization,
-            memory_bandwidth_gbytes=bandwidth,
-            efficiency=useful_flops / (total_cycles
-                                       * run.peak_flops_per_cycle),
-        )
-        return BlasResult(C, report)
+            efficiency=run.efficiency if efficiency is None else efficiency,
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -606,11 +551,12 @@ def gemm_multi(A: np.ndarray, B: np.ndarray, l: int, k: int = 8,
                sim_mode: str = "cycle",
                fpgas_per_chassis: Optional[int] = None) -> BlasResult:
     """Dense matrix multiply on the ``l``-FPGA linear array
-    (Section 5.2): the same padded geometry as :func:`gemm`, executed
-    as one b×b pass striped over ``l`` blades at effective latency
-    n³/(k·l).  The report's efficiency is measured against the array's
-    2·k·l flops/cycle peak.  With ``fpgas_per_chassis`` the array may
-    span chassis; the RapidArray boundary crossings are charged."""
+    (Section 5.2), in the block geometry of :func:`gemm`: the array
+    pads A and B to one b×b block itself and runs it as one pass
+    striped over ``l`` blades at effective latency n³/(k·l).  The
+    report's efficiency is measured against the array's 2·k·l
+    flops/cycle peak.  With ``fpgas_per_chassis`` the array may span
+    chassis; the RapidArray boundary crossings are charged."""
     return BlasCall("gemm", operands=(A, B), k=k, m=m, blades=l,
                     clock_mhz=clock_mhz, on_xd1=on_xd1,
                     sim_mode=sim_mode,
@@ -635,5 +581,5 @@ def gemm_fixed_overhead_cycles(k: int, m: int) -> int:
     """Per-pass fixed cycles of the Level-3 design (startup, drain and
     final C-block output).  When the runtime coalesces same-shape gemm
     jobs into one pass, every job after the first saves this amount."""
-    design = MatrixMultiplyDesign(k=k, m=m, relax_hazard_check=True)
-    return design.startup_cycles() + design.drain_cycles() + m * m
+    return MatrixMultiplyDesign(k=k, m=m,
+                                relax_hazard_check=True).fixed_cycles()

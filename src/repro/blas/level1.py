@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.blas.run import KernelRun
 from repro.reduction.single_adder import FeedEntry, SingleAdderReduction
 from repro.sim.engine import SimulationError
 from repro.sim.fast import (back_to_back_pattern, check_sim_mode,
@@ -53,7 +54,7 @@ def fold_columns(table: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class DotProductRun:
+class DotProductRun(KernelRun):
     """Outcome of one simulated dot product."""
 
     result: float
@@ -63,30 +64,8 @@ class DotProductRun:
     input_cycles: int
     flops: int
     words_read: int
-
-    @property
-    def flops_per_cycle(self) -> float:
-        return self.flops / self.total_cycles
-
-    @property
-    def peak_flops_per_cycle(self) -> float:
-        """I/O-bound peak: 2k flops per cycle at 2k words/cycle."""
-        return 2 * self.k
-
-    @property
-    def efficiency(self) -> float:
-        """Fraction of the I/O-bound peak achieved (Table 3's '% of
-        Peak MFLOPS' row)."""
-        return self.flops_per_cycle / self.peak_flops_per_cycle
-
-    def sustained_mflops(self, clock_mhz: float) -> float:
-        return self.flops_per_cycle * clock_mhz
-
-    def memory_bandwidth_gbytes(self, clock_mhz: float,
-                                word_bytes: int = 8) -> float:
-        """Average input bandwidth over the run."""
-        return (self.words_read * word_bytes * clock_mhz * 1e6
-                / self.total_cycles / 1e9)
+    #: Only input words are counted (a class attribute, not a field).
+    words_written = 0
 
 
 class TreeDatapath:

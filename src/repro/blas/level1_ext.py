@@ -33,6 +33,7 @@ from repro.blas.level1 import (
     TreeDatapath,
     fold_columns,
 )
+from repro.blas.run import KernelRun
 from repro.fparith.softfloat import float_sqrt
 from repro.fparith.units import FPUnitSpec
 
@@ -43,7 +44,7 @@ FP_SQRT_64 = FPUnitSpec("fp_sqrt_64", pipeline_stages=28,
 
 
 @dataclass
-class VectorRun:
+class VectorRun(KernelRun):
     """Outcome of a streaming Level-1 kernel."""
 
     y: np.ndarray
@@ -53,16 +54,6 @@ class VectorRun:
     flops: int
     words_read: int
     words_written: int
-
-    @property
-    def flops_per_cycle(self) -> float:
-        return self.flops / self.total_cycles
-
-    def sustained_mflops(self, clock_mhz: float) -> float:
-        return self.flops_per_cycle * clock_mhz
-
-    def words_per_cycle(self) -> float:
-        return (self.words_read + self.words_written) / self.total_cycles
 
 
 class AxpyDesign:

@@ -32,6 +32,7 @@ from typing import Deque, List, Optional, Tuple
 import numpy as np
 
 from repro.blas.level1 import TreeDatapath, fold_columns
+from repro.blas.run import KernelRun
 from repro.sim.engine import SimulationError
 from repro.sim.fast import check_sim_mode
 
@@ -41,8 +42,10 @@ class MvmHazardError(SimulationError):
 
 
 @dataclass
-class MvmRun:
-    """Outcome of one simulated matrix-vector multiply."""
+class MvmRun(KernelRun):
+    """Outcome of one simulated matrix-vector multiply.  Its peak is
+    I/O-bound: 2 flops per delivered word of A (Section 4.4's
+    ``2·bw``), at k words of A per cycle."""
 
     y: np.ndarray
     n: int
@@ -53,28 +56,6 @@ class MvmRun:
     words_written: int
     architecture: str
     blocks: int = 1
-
-    @property
-    def flops_per_cycle(self) -> float:
-        return self.flops / self.total_cycles
-
-    @property
-    def peak_flops_per_cycle(self) -> float:
-        """I/O-bound peak: 2 flops per delivered word of A (Section
-        4.4's ``2·bw``), at k words of A per cycle."""
-        return 2 * self.k
-
-    @property
-    def efficiency(self) -> float:
-        return self.flops_per_cycle / self.peak_flops_per_cycle
-
-    def sustained_mflops(self, clock_mhz: float) -> float:
-        return self.flops_per_cycle * clock_mhz
-
-    def memory_bandwidth_gbytes(self, clock_mhz: float,
-                                word_bytes: int = 8) -> float:
-        total = self.words_read + self.words_written
-        return total * word_bytes * clock_mhz * 1e6 / self.total_cycles / 1e9
 
 
 def _matrix_operands(A: np.ndarray,
@@ -186,6 +167,13 @@ class ColumnMajorMvmDesign:
         self.alpha_add = alpha_add
         self.bram_words = bram_words
 
+    def cycles(self, nrows: int, ncols: int) -> int:
+        """Cycles of a hazard-free nrows×ncols multiply: ⌈nrows/k⌉
+        groups per column issued back to back, plus the multiplier and
+        adder pipelines."""
+        return (ncols * math.ceil(nrows / self.k)
+                + self.alpha_mul + self.alpha_add)
+
     def run(self, A: np.ndarray, x: np.ndarray,
             sim_mode: str = "cycle") -> MvmRun:
         """Simulate y = A·x reading A in column-major order.
@@ -228,7 +216,7 @@ class ColumnMajorMvmDesign:
             # touch, so the accumulation is a plain per-column sweep.
             for col in range(ncols):
                 y += A[:, col] * x[col]
-            cycle = ncols * groups + self.alpha_add + self.alpha_mul
+            cycle = self.cycles(nrows, ncols)
         else:
             # In-flight adder updates: per row slot, the landing cycle.
             inflight: dict = {}

@@ -62,6 +62,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.blas import exact_gemm
+from repro.blas.run import KernelRun
 from repro.sim.engine import SimulationError
 
 
@@ -113,7 +114,7 @@ class MmHazardError(SimulationError):
 
 
 @dataclass
-class MatrixMultiplyRun:
+class MatrixMultiplyRun(KernelRun):
     """Outcome of one simulated matrix multiply."""
 
     C: np.ndarray
@@ -129,35 +130,6 @@ class MatrixMultiplyRun:
     @property
     def flops(self) -> int:
         return 2 * self.n ** 3
-
-    @property
-    def flops_per_cycle(self) -> float:
-        return self.flops / self.total_cycles
-
-    @property
-    def peak_flops_per_cycle(self) -> float:
-        """Compute-bound peak: each PE does one multiply + one add per
-        cycle, so 2k flops/cycle (Section 5.3)."""
-        return 2 * self.k
-
-    @property
-    def efficiency(self) -> float:
-        return self.flops_per_cycle / self.peak_flops_per_cycle
-
-    def sustained_gflops(self, clock_mhz: float) -> float:
-        return self.flops_per_cycle * clock_mhz / 1000.0
-
-    @property
-    def io_words(self) -> int:
-        return self.words_read + self.words_written
-
-    def words_per_cycle(self) -> float:
-        return self.io_words / self.total_cycles
-
-    def memory_bandwidth_gbytes(self, clock_mhz: float,
-                                word_bytes: int = 8) -> float:
-        return (self.io_words * word_bytes * clock_mhz * 1e6
-                / self.total_cycles / 1e9)
 
 
 class MatrixMultiplyDesign:
@@ -222,6 +194,17 @@ class MatrixMultiplyDesign:
         return (self.alpha_mul + self.alpha_add
                 + (self.m * self.m // self.k) * (self.k - 1))
 
+    def fixed_cycles(self) -> int:
+        """Cycles of a pass beyond its block multiplies: startup, drain
+        and the final C block's m² words of output."""
+        return self.startup_cycles() + self.drain_cycles() + self.m * self.m
+
+    def cycles(self, n: int) -> int:
+        """Cycles of an n×n multiply, n a multiple of m: (n/m)³ block
+        multiplies back to back, plus :meth:`fixed_cycles`."""
+        return ((n // self.m) ** 3 * self.block_compute_cycles()
+                + self.fixed_cycles())
+
     def required_words_per_cycle(self) -> float:
         """Bandwidth claim of Section 5.1: 3k/m words per cycle
         (two inputs every m/k cycles + m² outputs every m³/k cycles)."""
@@ -266,12 +249,11 @@ class MatrixMultiplyDesign:
                             b_pad[z * m:(z + 1) * m, h * m:(h + 1) * m],
                             c_block)
             C = C[:p, :r]
+            total = compute_cycles + self.fixed_cycles()
         else:
             C = exact_product(A, B)
-            compute_cycles = nb ** 3 * self.block_compute_cycles()
-
-        total = (self.startup_cycles() + compute_cycles
-                 + self.drain_cycles() + m * m)  # final C block output
+            total = self.cycles(n)
+            compute_cycles = total - self.fixed_cycles()
         return MatrixMultiplyRun(
             C=C, n=n, m=m, k=k,
             total_cycles=total,

@@ -32,22 +32,27 @@ One compiled kernel computes that sum (:mod:`repro.blas.exact_gemm`,
 with block width m); without a C compiler
 :func:`repro.blas.level3.sweep` computes it in NumPy, with the same
 bits.  The traffic, the per-FPGA MAC census and the cycles are closed
-forms.
+forms.  As in :mod:`repro.blas.level3`, the array owns the zero
+padding: ``run`` takes A (p×q) and B (q×r) as a call gives them, works
+at order n = b·⌈max(p, q, r)/b⌉ and returns C as p×r.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.blas.level3 import MatrixMultiplyDesign, exact_product
+from repro.blas.run import KernelRun
 
 
 @dataclass
-class MultiFpgaRun:
-    """Outcome of one simulated multi-FPGA matrix multiply."""
+class MultiFpgaRun(KernelRun):
+    """Outcome of one simulated multi-FPGA matrix multiply; C is p×r,
+    every counter the padded n×n array's."""
 
     C: np.ndarray
     n: int
@@ -68,25 +73,23 @@ class MultiFpgaRun:
         return 2 * self.n ** 3
 
     @property
-    def flops_per_cycle(self) -> float:
-        return self.flops / self.total_cycles
-
-    @property
     def peak_flops_per_cycle(self) -> float:
         """2 flops per PE per cycle across k·l PEs."""
         return 2 * self.k * self.l
 
     @property
-    def efficiency(self) -> float:
-        return self.flops_per_cycle / self.peak_flops_per_cycle
-
-    def sustained_gflops(self, clock_mhz: float) -> float:
-        return self.flops_per_cycle * clock_mhz / 1000.0
+    def io_words(self) -> int:
+        """The array's memory traffic is FPGA_0's DRAM words."""
+        return self.dram_words
 
     def dram_bandwidth_mbytes(self, clock_mhz: float,
                               word_bytes: int = 8) -> float:
         return (self.dram_words * word_bytes * clock_mhz * 1e6
                 / self.total_cycles / 1e6)
+
+    def memory_bandwidth_gbytes(self, clock_mhz: float,
+                                word_bytes: int = 8) -> float:
+        return self.dram_bandwidth_mbytes(clock_mhz, word_bytes) / 1e3
 
 
 class MultiFpgaMatrixMultiply:
@@ -147,25 +150,39 @@ class MultiFpgaMatrixMultiply:
         """Effective latency for n×n: n³/(k·l) cycles (Section 5.2)."""
         return n ** 3 // (self.k * self.l)
 
+    def cycles(self, n: int) -> int:
+        """Cycles of an n×n multiply, n a multiple of b.  The FPGAs run
+        concurrently, so FPGA_0, which holds the most m-block-columns
+        (⌈(b/m)/l⌉ of b/m), finishes last: its (n/b)³·(b/m)² sweeps of
+        that many block MACs, plus the array latency and the MM unit's
+        fixed cycles."""
+        bm = self.b // self.m
+        share = (n // self.b) ** 3 * bm * bm * math.ceil(bm / self.l)
+        return (share * self.block_mac_cycles()
+                + self.array_latency_cycles() + self.mm.fixed_cycles())
+
     # -------------------------------------------------------------------
     def run(self, A: np.ndarray, B: np.ndarray) -> MultiFpgaRun:
-        """Simulate C = A·B on the FPGA array (n a multiple of b).
+        """Simulate C = A·B for A p×q and B q×r on the FPGA array.
 
-        Each C cell sums its products in the array's order: every
-        m-wide block of z from +0.0 in z order (one MM unit's block
-        MAC), the block sums folded into C′ from +0.0 in block order
-        (the extra adder), computed by
-        :func:`repro.blas.level3.exact_product`.  The DRAM and link
-        words and the per-FPGA block-MAC census are closed forms."""
+        The array works at order n = b·⌈max(p, q, r)/b⌉, as on both
+        operands zero-padded to n×n, and counts the padded array's
+        cycles and traffic; C is p×r.  Each C cell sums its products
+        in the array's order: every m-wide block of z from +0.0 in z
+        order (one MM unit's block MAC), the block sums folded into C′
+        from +0.0 in block order (the extra adder), computed by
+        :func:`repro.blas.level3.exact_product` on the unpadded
+        operands (the padded z-steps add only +0.0, as in
+        :mod:`repro.blas.level3`).  The DRAM and link words and the
+        per-FPGA block-MAC census are closed forms."""
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
-        if A.ndim != 2 or A.shape != B.shape or A.shape[0] != A.shape[1]:
-            raise ValueError("A and B must be equal square matrices")
-        n = A.shape[0]
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise ValueError("A and B must be p×q and q×r matrices")
+        (p, q), r = A.shape, B.shape[1]
         b, m, k, l = self.b, self.m, self.k, self.l
-        if n % b:
-            raise ValueError(f"n = {n} must be a multiple of b = {b}")
-        nb = n // b      # b-blocks per dimension
+        nb = math.ceil(max(p, q, r) / b)  # b-blocks per dimension
+        n = nb * b
         bm = b // m      # m-blocks per b-block dimension
         # Per C^ij: nb pairs of b-blocks read, C^ij written back, and
         # every word traverses the whole array.
@@ -176,14 +193,9 @@ class MultiFpgaMatrixMultiply:
                            for f in range(l)]
         # FPGAs run concurrently: each executes its share back to back.
         compute_cycles = max(fpga_block_macs) * self.block_mac_cycles()
-        total = (compute_cycles
-                 + self.array_latency_cycles()
-                 + self.mm.startup_cycles()
-                 + self.mm.drain_cycles()
-                 + m * m)
         return MultiFpgaRun(
             C=exact_product(A, B, m), n=n, b=b, m=m, k=k, l=l,
-            total_cycles=total,
+            total_cycles=self.cycles(n),
             compute_cycles=compute_cycles,
             dram_words=dram_words,
             link_words=dram_words * (l - 1),

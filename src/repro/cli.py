@@ -890,23 +890,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "fast path (docs/simulation.md)")
 
     p_dot = sub.add_parser("dot", help="simulate a dot product")
-    p_dot.add_argument("-n", type=int, default=2048)
-    p_dot.add_argument("-k", type=int, default=2)
+    p_dot.add_argument("-n", type=_positive_int, default=2048)
+    p_dot.add_argument("-k", type=_positive_int, default=2)
     p_dot.add_argument("--seed", type=int, default=0)
     _sim_mode_flag(p_dot)
 
     p_gemv = sub.add_parser("gemv", help="simulate matrix-vector multiply")
-    p_gemv.add_argument("-n", type=int, default=512)
-    p_gemv.add_argument("-k", type=int, default=4)
+    p_gemv.add_argument("-n", type=_positive_int, default=512)
+    p_gemv.add_argument("-k", type=_positive_int, default=4)
     p_gemv.add_argument("--architecture", choices=("tree", "column"),
                         default="tree")
     p_gemv.add_argument("--seed", type=int, default=0)
     _sim_mode_flag(p_gemv)
 
     p_gemm = sub.add_parser("gemm", help="simulate matrix multiply")
-    p_gemm.add_argument("-n", type=int, default=128)
-    p_gemm.add_argument("-k", type=int, default=8)
-    p_gemm.add_argument("-m", type=int, default=None)
+    p_gemm.add_argument("-n", type=_positive_int, default=128)
+    p_gemm.add_argument("-k", type=_positive_int, default=8)
+    p_gemm.add_argument("-m", type=_positive_int, default=None)
     p_gemm.add_argument("--seed", type=int, default=0)
     _sim_mode_flag(p_gemm)
 

@@ -23,12 +23,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.blas.level1 import TreeDatapath, fold_columns
+from repro.blas.run import KernelRun
 from repro.sparse.csr import CsrMatrix
 
 
 @dataclass
-class SpmxvRun:
-    """Outcome of one simulated sparse matrix-vector multiply."""
+class SpmxvRun(KernelRun):
+    """Outcome of one simulated sparse matrix-vector multiply.  Its
+    words read are the values and column indices, as 64-bit words."""
 
     y: np.ndarray
     nrows: int
@@ -36,34 +38,13 @@ class SpmxvRun:
     k: int
     total_cycles: int
     words_read: int
+    #: Only input words are counted (a class attribute, not a field).
+    words_written = 0
 
     @property
     def flops(self) -> int:
         """2 flops per nonzero (multiply + accumulate)."""
         return 2 * self.nnz
-
-    @property
-    def flops_per_cycle(self) -> float:
-        return self.flops / self.total_cycles
-
-    @property
-    def peak_flops_per_cycle(self) -> float:
-        return 2 * self.k
-
-    @property
-    def efficiency(self) -> float:
-        return self.flops_per_cycle / self.peak_flops_per_cycle
-
-    def sustained_mflops(self, clock_mhz: float) -> float:
-        return self.flops_per_cycle * clock_mhz
-
-    def memory_bandwidth_gbytes(self, clock_mhz: float,
-                                word_bytes: int = 8) -> float:
-        """Sustained input bandwidth at ``clock_mhz`` (values + column
-        indices read as 64-bit words), matching the dense kernels'
-        run objects."""
-        return (self.words_read * word_bytes * clock_mhz * 1e6
-                / self.total_cycles / 1e9)
 
 
 def chunk_partials(matrix: CsrMatrix, x: np.ndarray,

@@ -21,6 +21,7 @@ from repro.blas.api import (
     BlasResult,
     dot,
     gemm,
+    gemm_geometry,
     gemm_multi,
     gemv,
     max_gemm_gang,
@@ -133,6 +134,23 @@ class TestBlasCallValidation:
                                           rng.standard_normal((4, 5))))
         with pytest.raises(ValueError, match="gemm needs"):
             call.plan()
+
+    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize("path", ["geometry", "gang width", "plan",
+                                      "execute"])
+    def test_gemm_k_below_one_rejected(self, deadline, path, k):
+        # The default block size doubles from k, which never ends for
+        # k <= 0: every gemm path crosses gemm_geometry's check.
+        operands = (np.ones((4, 4)), np.ones((4, 4)))
+        entry = {
+            "geometry": lambda: gemm_geometry(4, 4, 4, k, None),
+            "gang width": lambda: max_gemm_gang(4, 4, 4, k=k),
+            "plan": BlasCall("gemm", shape=(4, 4, 4), k=k).plan,
+            "execute": lambda: gemm(*operands, k=k),
+        }[path]
+        with deadline(10), pytest.raises(ValueError,
+                                         match="k must be >= 1"):
+            entry()
 
 
 class TestBlasResult:

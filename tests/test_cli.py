@@ -1,8 +1,15 @@
 """Unit tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -540,3 +547,26 @@ class TestTopAndObservabilityFlags:
         server.join(10)
         capsys.readouterr()
         assert box["rc"] == 1
+
+
+class TestKernelSizes:
+    @pytest.mark.parametrize("argv", [
+        ["dot", "-k", "0"], ["dot", "-n", "0"], ["gemv", "-n", "-3"],
+        ["gemv", "-k", "0"], ["gemm", "-n", "0"], ["gemm", "-k", "0"],
+        ["gemm", "-m", "0"]])
+    def test_non_positive_kernel_size_is_a_usage_error(self, capsys,
+                                                       deadline, argv):
+        with deadline(10), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_gemm_k_zero_exits_instead_of_hanging(self):
+        # In a subprocess under a timeout: a k that reaches the block
+        # geometry unchecked loops forever.
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "gemm", "-n", "16", "-k", "0"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert result.returncode == 2
+        assert "must be a positive integer" in result.stderr

@@ -1,5 +1,7 @@
 """Unit tests for the multi-FPGA hierarchical matrix multiply."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,11 +52,26 @@ class TestCorrectness:
         run = design.run(A, B)
         np.testing.assert_allclose(run.C, A @ B, rtol=1e-10, atol=1e-10)
 
-    def test_n_must_be_multiple_of_b(self, rng):
+    @pytest.mark.parametrize("p, q, r", [(48, 48, 48), (40, 56, 24)])
+    def test_pads_operands_to_a_multiple_of_b(self, rng, p, q, r):
+        # The array works at n = b·⌈max(p, q, r)/b⌉ = 64: C is the
+        # hand-padded run's, cropped to p×r, and every counter is the
+        # padded run's.
         design = MultiFpgaMatrixMultiply(l=2, k=4, m=8, b=32)
-        A = rng.standard_normal((48, 48))
-        with pytest.raises(ValueError, match="multiple of b"):
-            design.run(A, A)
+        A = rng.standard_normal((p, q))
+        B = rng.standard_normal((q, r))
+        a_pad = np.zeros((64, 64))
+        b_pad = np.zeros((64, 64))
+        a_pad[:p, :q] = A
+        b_pad[:q, :r] = B
+        padded = design.run(a_pad, b_pad)
+        run = design.run(A, B)
+        assert run.C.shape == (p, r)
+        assert run.C.tobytes() == padded.C[:p, :r].tobytes()
+        for field in dataclasses.fields(run):
+            if field.name != "C":
+                assert getattr(run, field.name) == getattr(padded,
+                                                           field.name)
 
     def test_load_balance_even(self, rng):
         design = MultiFpgaMatrixMultiply(l=4, k=4, m=8, b=32)

@@ -212,6 +212,17 @@ class TestPlanningFailures:
         assert good.state is JobState.DONE
         assert metrics.jobs_completed == 1
 
+    @pytest.mark.parametrize("max_gang", [1, 4])
+    def test_gemm_with_k_zero_fails_planning(self, rng, deadline,
+                                             max_gang):
+        runtime = BlasRuntime(chassis=1, blades=4, max_gang=max_gang)
+        A = rng.standard_normal((64, 64))
+        with deadline(10):
+            bad = runtime.submit(BlasRequest("gemm", (A, A), k=0),
+                                 at=0.0)
+        assert bad.state is JobState.FAILED
+        assert bad.error == "planning failed: k must be >= 1"
+
 
 class TestArrivals:
     def test_negative_arrival_rejected(self, rng):
