@@ -14,13 +14,17 @@ output file gains one entry: the pair count, each checkout's ``git``
 commit (``null`` when the checkout is not the root of a git work tree,
 as a ``git archive`` extract is not; make the parent with ``git clone``
 to record it) and whether it has uncommitted changes other than to the
-output file, and, for every
-``end_to_end`` metric of the change's ``BENCHMARK.json``, each side's
-runs, median and quartiles and the number of pairs the change won by
-that metric's ``better`` direction (ties count for neither side).
-Entries are keyed by workload, seed and the two checkouts' revisions:
-a new key is appended after the earlier entries, which stay as they
-are, and a rerun of the same key replaces its entry.
+output file; a host calibration taken before the first pair and after
+the last (the CPUs in this process's affinity mask, and the wall
+seconds of a fixed pure-Python loop run alone and as two concurrent
+processes on two CPUs of that mask, so a series whose second CPU is
+busy or missing shows); and, for every ``end_to_end`` metric of the
+change's ``BENCHMARK.json``, each side's runs, median and quartiles,
+the median of the paired ratios change/parent, and the number of pairs
+the change won by that metric's ``better`` direction (ties count for
+neither side).  Entries are keyed by workload, seed and the two
+checkouts' revisions: a new key is appended after the earlier entries,
+which stay as they are, and a rerun of the same key replaces its entry.
 ``BENCHMARK.json`` is only read.  The script imports only the standard
 library.
 """
@@ -36,6 +40,19 @@ import sys
 #: before it counts as hung.
 TIMEOUT_FACTOR = 20
 TIMEOUT_SLACK_S = 600
+#: The calibration loop: fixed pure-Python work that prints its own
+#: wall seconds, interpreter start-up excluded, on the CPU given as its
+#: argument when there is one.
+CALIBRATION_LOOP = """
+import os, sys, time
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+start = time.perf_counter()
+x = 0
+for i in range(1_000_000):
+    x = (x * 31 + i) % 1_000_003
+print(time.perf_counter() - start)
+"""
 
 
 def run_once(tree, command, workload, seed, seconds):
@@ -51,6 +68,33 @@ def run_once(tree, command, workload, seed, seconds):
     if not report.get("correct", False):
         sys.stderr.write(proc.stderr[-4000:])
     return report
+
+
+def loop_seconds(cpus):
+    """The calibration loop's wall seconds in one process per entry of
+    ``cpus``, run concurrently, each pinned to its CPU (unpinned where
+    an entry is ``None``)."""
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", CALIBRATION_LOOP]
+        + ([] if cpu is None else [str(cpu)]),
+        stdout=subprocess.PIPE, text=True) for cpu in cpus]
+    return [float(proc.communicate(timeout=TIMEOUT_SLACK_S)[0])
+            for proc in procs]
+
+
+def host():
+    """The host calibration: the CPUs this process may run on, and the
+    loop's seconds alone and, for the slower of two, side by side on
+    the first two of those CPUs (one when it has one).  The pair is
+    pinned because on a small VM a new process can share its parent's
+    CPU for hundreds of milliseconds before the scheduler moves it to
+    an idle one."""
+    try:
+        mask = sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        mask = [None] * (os.cpu_count() or 1)
+    return {"cpus": len(mask), "loop_s": loop_seconds(mask[:1])[0],
+            "loop_pair_s": max(loop_seconds((mask * 2)[:2]))}
 
 
 def revision(tree, out):
@@ -89,20 +133,21 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def entry(metrics, runs, revisions, workload, seed, seconds):
+def entry(metrics, runs, revisions, hosts, workload, seed, seconds):
     """The merged entry of one (workload, seed) from paired runs of the
-    two checkouts at ``revisions``."""
+    two checkouts at ``revisions`` on a host calibrated as ``hosts``."""
     out = {"workload": workload, "seed": seed,
            "pairs": len(runs["parent"]), "run_seconds": seconds,
-           "metrics": {}, **revisions}
+           "host": hosts, "metrics": {}, **revisions}
     for metric in metrics:
         name = metric["name"]
         sides = {side: [run["metrics"][name]["value"]
                         for run in runs[side]]
                  for side in ("parent", "change")}
         sign = 1 if metric["better"] == "higher" else -1
-        wins = sum(1 for old, new in zip(sides["parent"], sides["change"])
-                   if sign * (new - old) > 0)
+        pairs = list(zip(sides["parent"], sides["change"]))
+        wins = sum(1 for old, new in pairs if sign * (new - old) > 0)
+        ratios = [new / old for old, new in pairs if old]
         out["metrics"][name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": dict(summary(sides["parent"]),
@@ -110,6 +155,7 @@ def entry(metrics, runs, revisions, workload, seed, seconds):
             "change": dict(summary(sides["change"]),
                            runs=sides["change"]),
             "change_wins": wins,
+            "median_ratio": statistics.median(ratios) if ratios else None,
         }
     return out
 
@@ -136,6 +182,7 @@ def main(argv=None):
     revisions = {side: revision(tree, args.out)
                  for side, tree in trees.items()}
     runs = {"parent": [], "change": []}
+    hosts = {"before": host()}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change",
                                                            "parent")
@@ -151,6 +198,7 @@ def main(argv=None):
                 f"{name}={m['value']:.6g}"
                 for name, m in sorted(report["metrics"].items())),
                 file=sys.stderr)
+    hosts["after"] = host()
     virtual = sorted(name for name in runs["parent"][0]["metrics"]
                      if name.startswith("virtual_"))
     seen = {name: {run["metrics"][name]["value"]
@@ -167,8 +215,8 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as handle:
             merged = json.load(handle)
-    new = entry(benchmark["end_to_end"], runs, revisions, args.workload,
-                args.seed, seconds)
+    new = entry(benchmark["end_to_end"], runs, revisions, hosts,
+                args.workload, args.seed, seconds)
     merged["entries"] = [e for e in merged["entries"]
                          if key(e) != key(new)] + [new]
     with open(args.out, "w") as handle:

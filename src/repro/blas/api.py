@@ -380,6 +380,8 @@ class BlasCall:
                           + reduction_flush_cycles(sets,
                                                    design.alpha_add))
             else:
+                # A hazard fails every run of the call: fail its plan.
+                design.check_hazards(nrows, ncols, self.block)
                 cycles = design.cycles(nrows, ncols)
             n = max(nrows, ncols)
             flops = 2 * nrows * ncols

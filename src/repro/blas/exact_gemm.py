@@ -9,8 +9,19 @@ whose extra adder folds them.  :func:`repro.blas.level3.sweep` is the
 same sum in NumPy and the reference the tests pin the kernel to, byte
 for byte.
 
+A gemm of at least :data:`WORK_FLOOR` multiply-adds runs on one thread
+per CPU the process may run on (:func:`threads`), at most one per
+16-column panel of B and at most 64; a smaller one, such as a single
+blade's gemm at n ≤ 128, runs on the calling thread alone, since
+starting and joining a thread would cost more than it saves.  The
+threads claim B's panels one at a time from a shared counter, and each
+cell is summed by one thread in the order above, so the bits do not
+depend on the thread count.  The CPUs are the process's affinity mask:
+``taskset`` or a cpuset limits them; no option or environment variable
+does, and ``OMP_NUM_THREADS`` is not read.
+
 :func:`kernel` builds the source on first use with ``gcc -O3
--march=native -ffp-contract=off`` (no contraction, so no fused
+-march=native -ffp-contract=off -pthread`` (no contraction, so no fused
 multiply-add moves a bit) into a per-user cache, ``$XDG_CACHE_HOME/repro``
 or ``~/.cache/repro``.  The file name hashes the source, the flags and
 the host CPU's feature flags, so a native build is never loaded on
@@ -41,9 +52,17 @@ import numpy as np
 _log = logging.getLogger(__name__)
 
 SOURCE = "exact_gemm.c"
-#: The build: native code, no floating-point contraction.
-NATIVE_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared",
-                "-fPIC")
+#: The build: native code, no floating-point contraction, threads.
+NATIVE_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-pthread",
+                "-shared", "-fPIC")
+#: Multiply-adds below which a gemm runs on the calling thread alone.  A
+#: helper thread's start and join cost about 15–20 µs, which a second
+#: thread first wins back at about n = 128; the floor sits between the
+#: largest gemm the serve and runtime workloads run (n = 128, 2^21) and
+#: the smallest gang of gang_scaleout (n = 512, 2^27).
+WORK_FLOOR = 1 << 24
+#: Columns of B in one panel, as ``exact_gemm.c``'s COLS.
+PANEL_COLUMNS = 16
 
 Gemm = Callable[..., np.ndarray]
 
@@ -56,6 +75,24 @@ def source() -> bytes:
 def compiler() -> Optional[str]:
     """``gcc`` on ``PATH``, or ``None``."""
     return shutil.which("gcc")
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or every
+    CPU where the platform has no such call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def threads(p: int, q: int, r: int) -> int:
+    """The threads that run a p×q · q×r gemm: one below
+    :data:`WORK_FLOOR` multiply-adds, else one per CPU the process may
+    run on, at most one per panel of B."""
+    if p * q * r < WORK_FLOOR:
+        return 1
+    return min(_cpus(), -(-r // PANEL_COLUMNS))
 
 
 def _host_cpu() -> bytes:
@@ -126,7 +163,7 @@ def load(cache: Path, flags: Sequence[str] = NATIVE_FLAGS
         _log.warning("exact_gemm: cannot load %s (%s); the arrays run "
                      "the NumPy sweep", target, exc)
         return None
-    gemm.argtypes = [ctypes.c_ssize_t] * 4 + [ctypes.c_void_p] * 3
+    gemm.argtypes = [ctypes.c_ssize_t] * 5 + [ctypes.c_void_p] * 3
     gemm.restype = ctypes.c_int
 
     def multiply(A: np.ndarray, B: np.ndarray,
@@ -142,8 +179,8 @@ def load(cache: Path, flags: Sequence[str] = NATIVE_FLAGS
             raise ValueError(f"block must be positive, not {block}")
         (p, q), r = A.shape, B.shape[1]
         C = np.empty((p, r))
-        if gemm(p, q, r, block or 0, A.ctypes.data, B.ctypes.data,
-                C.ctypes.data):
+        if gemm(p, q, r, block or 0, threads(p, q, r), A.ctypes.data,
+                B.ctypes.data, C.ctypes.data):
             raise MemoryError("exact_gemm: no memory for a B panel")
         return C
 

@@ -174,15 +174,39 @@ class ColumnMajorMvmDesign:
         return (ncols * math.ceil(nrows / self.k)
                 + self.alpha_mul + self.alpha_add)
 
+    def check_hazards(self, nrows: int, ncols: int,
+                      block: Optional[int] = None) -> None:
+        """Raise :class:`MvmHazardError` when an nrows×ncols multiply,
+        or one of its row blocks of height ``block`` (the last one
+        possibly shorter), would read a y row while its previous update
+        is in the adder — the hazard condition of Section 4.2.
+
+        The stepped loop's first re-touch of a y row happens at cycle
+        groups + 1, groups = ⌈rows/k⌉, while its previous update lands
+        at 1 + alpha_add; landing pops run before the check, so
+        groups == alpha_add is forwarded and only groups < alpha_add
+        faults, and only when a second column re-touches the row.
+        """
+        heights = (nrows,) if not block else (min(block, nrows),
+                                              nrows % block)
+        for rows in heights:
+            groups = math.ceil(rows / self.k)
+            if ncols >= 2 and 0 < groups < self.alpha_add:
+                raise MvmHazardError(
+                    f"row 0 updated at cycle {groups + 1} while its "
+                    f"previous update lands at cycle {1 + self.alpha_add}; "
+                    f"n/k = {groups} <= adder depth {self.alpha_add}"
+                )
+
     def run(self, A: np.ndarray, x: np.ndarray,
             sim_mode: str = "cycle") -> MvmRun:
         """Simulate y = A·x reading A in column-major order.
 
         Raises :class:`MvmHazardError` when n/k is smaller than the
         adder pipeline depth — the hazard condition of Section 4.2.
-        ``sim_mode="fast"`` checks that condition in closed form and
-        accumulates the columns as one sweep, in the stepped loop's
-        per-element operand order.
+        ``sim_mode="fast"`` checks that condition in closed form
+        (:meth:`check_hazards`) and accumulates the columns as one
+        sweep, in the stepped loop's per-element operand order.
         """
         check_sim_mode(sim_mode)
         A, x = _matrix_operands(A, x)
@@ -201,17 +225,7 @@ class ColumnMajorMvmDesign:
         y = np.zeros(padded_rows)
 
         if sim_mode == "fast":
-            # The stepped loop's first re-touch of a y row happens at
-            # cycle groups + 1 while its previous update lands at
-            # 1 + alpha_add; landing pops run before the check, so
-            # groups == alpha_add is forwarded and only
-            # groups < alpha_add faults.
-            if ncols >= 2 and groups < self.alpha_add:
-                raise MvmHazardError(
-                    f"row 0 updated at cycle {groups + 1} while its "
-                    f"previous update lands at cycle {1 + self.alpha_add}; "
-                    f"n/k = {groups} <= adder depth {self.alpha_add}"
-                )
+            self.check_hazards(nrows, ncols)
             # Hazard-freedom means every update landed before the next
             # touch, so the accumulation is a plain per-column sweep.
             for col in range(ncols):

@@ -146,16 +146,13 @@ class MultiFpgaMatrixMultiply:
         (Section 6.4.1: 48 for one chassis, 576 for 12 chassis)."""
         return self.k * self.l
 
-    def effective_cycles(self, n: int) -> int:
-        """Effective latency for n×n: n³/(k·l) cycles (Section 5.2)."""
-        return n ** 3 // (self.k * self.l)
-
     def cycles(self, n: int) -> int:
         """Cycles of an n×n multiply, n a multiple of b.  The FPGAs run
         concurrently, so FPGA_0, which holds the most m-block-columns
         (⌈(b/m)/l⌉ of b/m), finishes last: its (n/b)³·(b/m)² sweeps of
         that many block MACs, plus the array latency and the MM unit's
-        fixed cycles."""
+        fixed cycles.  When l divides b/m the sweeps take Section 5.2's
+        effective latency, n³/(k·l) cycles."""
         bm = self.b // self.m
         share = (n // self.b) ** 3 * bm * bm * math.ceil(bm / self.l)
         return (share * self.block_mac_cycles()

@@ -3,12 +3,15 @@
 Two stub checkouts stand in for the parent and the change: each
 ``perfbench/run.py`` prints one fixed report, so a run takes well under
 a second.  An entry names each checkout's git commit (``None`` outside
-git) and whether it has uncommitted changes; a new pair of revisions
-appends an entry after the earlier ones, and a rerun of the same pair
-replaces its own.
+git) and whether it has uncommitted changes, calibrates the host before
+and after the pairs, and gives each metric's median paired ratio; a new
+pair of revisions appends an entry after the earlier ones, and a rerun
+of the same pair replaces its own.
 """
 
+import importlib.util
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -64,6 +67,19 @@ def _bench(parent, change, out):
     return json.loads(out.read_text())["entries"]
 
 
+def _without_hosts(entries):
+    """The entries without their host calibrations, which are timings."""
+    return [{key: value for key, value in entry.items() if key != "host"}
+            for entry in entries]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("bench_stack", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_entries_name_their_commits_and_append(tmp_path):
     parent = _tree(tmp_path / "parent", 10.0)
     change = _tree(tmp_path / "change", 12.0)
@@ -85,9 +101,16 @@ def test_entries_name_their_commits_and_append(tmp_path):
     assert rps["parent"]["runs"] == [10.0, 10.0]
     assert rps["change"]["runs"] == [12.0, 12.0]
     assert rps["change_wins"] == 2
+    assert rps["median_ratio"] == pytest.approx(1.2)
+    assert set(new["host"]) == {"before", "after"}
+    for calibration in new["host"].values():
+        assert set(calibration) == {"cpus", "loop_s", "loop_pair_s"}
+        assert calibration["cpus"] >= 1
+        assert calibration["loop_s"] > 0 and calibration["loop_pair_s"] > 0
 
     # The same pair again replaces its entry.
-    assert _bench(parent, change, out) == entries
+    assert _without_hosts(_bench(parent, change, out)) == \
+        _without_hosts(entries)
 
     # An uncommitted edit, then a new commit, are new pairs.
     (change / "perfbench" / "run.py").write_text(RUN_PY % 13.0)
@@ -110,3 +133,31 @@ def test_a_directory_inside_a_work_tree_has_no_commit(tmp_path):
     entries = _bench(inner, outer, tmp_path / "out.json")
     assert entries[0]["parent"] == {"commit": None, "dirty": None}
     assert entries[0]["change"]["dirty"] is True  # inner is untracked
+
+
+def test_median_ratio_pairs_runs_and_skips_a_zero_parent():
+    metrics = [{"name": "throughput_rps", "unit": "1/s",
+                "better": "higher"},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+
+    def runs(values):
+        return [{"metrics": {"throughput_rps": {"value": rps},
+                             "peak_rss_mb": {"value": 0.0}}}
+                for rps in values]
+
+    out = _script().entry(
+        metrics, {"parent": runs([10.0, 20.0, 0.0, 4.0]),
+                  "change": runs([12.0, 10.0, 5.0, 6.0])},
+        {}, {}, "gang_scaleout", 1, 30)
+    rps = out["metrics"]["throughput_rps"]
+    assert rps["median_ratio"] == pytest.approx(1.2)  # of 1.2, 0.5, 1.5
+    assert rps["change_wins"] == 3
+    assert out["metrics"]["peak_rss_mb"]["median_ratio"] is None
+
+
+def test_host_counts_the_affinity_mask():
+    calibration = _script().host()
+    if hasattr(os, "sched_getaffinity"):
+        assert calibration["cpus"] == len(os.sched_getaffinity(0))
+    assert 0 < calibration["loop_s"] < 60
+    assert 0 < calibration["loop_pair_s"] < 60

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.blas import BlasCall, dot, gemm, gemv, spmxv
+from repro.blas.level2 import MvmHazardError
 from repro.blas.level3 import MmHazardError
 from repro.workloads import poisson_2d
 
@@ -70,6 +71,33 @@ class TestPlanGemv:
     def test_unknown_architecture(self):
         with pytest.raises(ValueError):
             BlasCall("gemv", shape=(8, 8), architecture="systolic").plan()
+
+    @pytest.mark.parametrize("mode", ["cycle", "fast"])
+    @pytest.mark.parametrize("block", [None, 16, 56])
+    @pytest.mark.parametrize("rows", [1, 13, 55, 56, 60, 100, 112])
+    def test_column_plan_fails_exactly_when_its_run_does(self, rng, rows,
+                                                         block, mode):
+        """At k = 4 a row block of fewer than 53 rows re-touches a y row
+        before the 14-stage adder lands it; 60 rows in blocks of 56
+        leave a short last block of 4 that does, 112 rows do not."""
+        for cols in (1, 2, 9):
+            call = BlasCall("gemv", operands=(
+                rng.standard_normal((rows, cols)),
+                rng.standard_normal(cols)), k=4, architecture="column",
+                block=block, sim_mode=mode)
+            outcomes = []
+            for step in (call.plan, call.execute):
+                try:
+                    step()
+                    outcomes.append(None)
+                except MvmHazardError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (cols, outcomes)
+            heights = [rows] if not block else [
+                height for height in (min(block, rows), rows % block)
+                if height]
+            hazard = cols >= 2 and min(heights) < 53
+            assert (outcomes[0] is not None) == hazard, (cols, outcomes)
 
 
 class TestPlanGemm:

@@ -7,12 +7,18 @@ block on the single-blade array, w = m on a gang), as
 on any shape and block width, with signed zeros, ±inf and NaN (a NaN
 cell is compared as NaN: distinct input NaN payloads may propagate
 differently), in the native build, an AVX2 build and a baseline build,
-whose register tiles differ.  The build is cached per source, flags
-and CPU, and without a compiler both arrays run the sweep with the
-same bits.  Tests that need the kernel skip when no C compiler is
-found; CI asserts that one is.
+whose register tiles differ, and on any number of threads, which share
+out B's 16-column panels.  The build is cached per source, flags and
+CPU, and without a compiler both arrays run the sweep with the same
+bits.  Tests that need the kernel skip when no C compiler is found; CI
+asserts that one is.
 """
 
+import contextlib
+import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 
@@ -29,11 +35,12 @@ needs_compiler = pytest.mark.skipif(exact_gemm.compiler() is None,
                                     reason="no C compiler found")
 
 #: A portable build: no -march, so SSE2 only on x86-64.
-BASELINE_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+BASELINE_FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared",
+                  "-fPIC")
 #: An AVX2 build: the 4×16 tile in 256-bit vectors, where the native
 #: build of an AVX-512 host runs 8×16 in 512-bit vectors.
-AVX2_FLAGS = ("-O3", "-march=haswell", "-ffp-contract=off", "-shared",
-              "-fPIC")
+AVX2_FLAGS = ("-O3", "-march=haswell", "-ffp-contract=off", "-pthread",
+              "-shared", "-fPIC")
 
 #: (p, q, r) with no product (q = 0) or an empty C.
 EMPTY = ((6, 0, 18), (0, 9, 5), (7, 9, 0))
@@ -43,6 +50,17 @@ GRID = ((1, 1, 1), (3, 5, 7), (4, 16, 16), (5, 17, 33), (8, 33, 16),
         (70, 3, 70), (97, 70, 100), (128, 96, 128)) + EMPTY
 #: Block widths the builds run: one block, and w = 1, 8 and 32.
 BLOCKS = (None, 1, 8, 32)
+#: Thread counts the threaded tests force, and their block widths.
+THREADS = (1, 2, 3, 5, 8)
+THREADED_BLOCKS = (None, 1, 7, 32)
+#: Shapes of several panels per thread whose p is no multiple of the
+#: tile's rows.
+LARGE = ((130, 129, 131), (257, 300, 33), (300, 513, 260))
+#: (p, q, r) per forced thread count: r below, at and above 16 panel
+#: columns per thread, p no multiple of the tile's rows, q below the
+#: widest block, and the large shapes.
+THREADED = {threads: tuple((13, 20, 16 * threads + d) for d in (-1, 0, 1))
+            + LARGE for threads in THREADS}
 
 #: The single-blade golden cases the compiled kernel computes (the
 #: ``strict=True`` ones replay every MAC instead).
@@ -78,6 +96,17 @@ def _assert_same_bits(got, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@contextlib.contextmanager
+def _threads(count):
+    """Every gemm on ``count`` threads, or on one per panel when it has
+    fewer panels: no work floor, and ``count`` CPUs in the process's
+    affinity mask."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_gemm, "WORK_FLOOR", 0)
+        patch.setattr(exact_gemm, "_cpus", lambda: count)
+        yield
 
 
 @pytest.fixture
@@ -122,6 +151,99 @@ def test_kernel_bits_equal_the_sweep(p, q, r, data, seed):
         _assert_same_bits(gemm(A, B, block), level3.sweep(A, B, block))
 
 
+@needs_compiler
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 70), st.integers(1, 70),
+       st.sampled_from(THREADED_BLOCKS), st.sampled_from(THREADS),
+       st.integers(0, 2 ** 31))
+def test_threads_never_move_a_bit(p, q, r, block, threads, seed):
+    A, B = _operands(np.random.default_rng(seed), p, q, r)
+    gemm = exact_gemm.kernel()
+    with _threads(threads), np.errstate(invalid="ignore"):
+        _assert_same_bits(gemm(A, B, block), level3.sweep(A, B, block))
+
+
+@needs_compiler
+@pytest.mark.parametrize("threads", THREADS)
+def test_threaded_grid_gives_the_sweeps_bytes(threads):
+    gemm = exact_gemm.kernel()
+    rng = np.random.default_rng(threads)
+    for p, q, r in THREADED[threads] + EMPTY:
+        A, B = _operands(rng, p, q, r, nan=False)
+        for block in THREADED_BLOCKS:
+            with _threads(threads), np.errstate(invalid="ignore"):
+                got = gemm(A, B, block)
+                want = level3.sweep(A, B, block)
+            assert got.tobytes() == want.tobytes(), (p, q, r, block)
+
+
+@needs_compiler
+@pytest.mark.parametrize("p, q, r", [(9, 5, 16), (4, 3, 1), (21, 40, 30)])
+def test_more_threads_than_panels_compute_every_cell(monkeypatch, p, q,
+                                                     r):
+    """Helpers that find no panel left exit without touching C."""
+    monkeypatch.setattr(exact_gemm, "threads", lambda p, q, r: 8)
+    A, B = _operands(np.random.default_rng(p), p, q, r, nan=False)
+    with np.errstate(invalid="ignore"):
+        for block in (None, 2):
+            assert exact_gemm.kernel()(A, B, block).tobytes() == \
+                level3.sweep(A, B, block).tobytes()
+
+
+def test_thread_count_is_one_below_the_floor_else_cpus_or_panels(
+        monkeypatch):
+    floor = exact_gemm.WORK_FLOOR
+    assert 128 ** 3 < floor <= 512 ** 3
+    monkeypatch.setattr(exact_gemm, "_cpus", lambda: 5)
+    assert exact_gemm.threads(128, 128, 128) == 1
+    assert exact_gemm.threads(1, 1, floor - 1) == 1
+    assert exact_gemm.threads(0, 512, 512) == 1
+    assert exact_gemm.threads(1, 1, floor) == 5
+    assert exact_gemm.threads(512, 512, 512) == 5
+    for r, panels in ((1, 1), (16, 1), (17, 2), (48, 3), (64, 4)):
+        assert exact_gemm.threads(floor, 1, r) == panels
+    monkeypatch.setattr(exact_gemm, "_cpus", lambda: 1)
+    assert exact_gemm.threads(2048, 2048, 2048) == 1
+
+
+def test_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert exact_gemm._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert exact_gemm._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert exact_gemm._cpus() == 1
+
+
+#: Prints the thread count and the C digest of a 512 × 512 gang gemm.
+GANG_DIGEST = """
+import hashlib
+import numpy as np
+from repro.blas import exact_gemm
+rng = np.random.default_rng(2005)
+A, B = rng.standard_normal((512, 512)), rng.standard_normal((512, 512))
+C = exact_gemm.kernel()(A, B, 32)
+print(exact_gemm.threads(512, 512, 512), hashlib.sha256(C).hexdigest())
+"""
+
+
+@needs_compiler
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no affinity mask to set")
+def test_an_affinity_mask_of_one_cpu_runs_one_thread_with_the_same_bits():
+    cpu = min(os.sched_getaffinity(0))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    pinned = subprocess.run(
+        [sys.executable, "-c",
+         f"import os; os.sched_setaffinity(0, {{{cpu}}})\n" + GANG_DIGEST],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    rng = np.random.default_rng(2005)
+    A, B = rng.standard_normal((512, 512)), rng.standard_normal((512, 512))
+    C = exact_gemm.kernel()(A, B, 32)
+    assert pinned.stdout.split() == ["1", hashlib.sha256(C).hexdigest()]
+
+
 def _assert_build_gives_the_sweeps_bytes(cache, flags):
     cache.mkdir()
     gemm = exact_gemm.load(cache, flags)
@@ -132,8 +254,11 @@ def _assert_build_gives_the_sweeps_bytes(cache, flags):
         for block in BLOCKS:
             with np.errstate(invalid="ignore"):
                 want = level3.sweep(A, B, block)
-                assert gemm(A, B, block).tobytes() == want.tobytes(), (
-                    p, q, r, block)
+                for threads in (1, 3):
+                    with _threads(threads):
+                        got = gemm(A, B, block)
+                    assert got.tobytes() == want.tobytes(), (
+                        p, q, r, block, threads)
 
 
 @needs_compiler

@@ -212,6 +212,31 @@ class TestPlanningFailures:
         assert good.state is JobState.DONE
         assert metrics.jobs_completed == 1
 
+    def test_column_gemv_with_a_hazard_fails_at_submit(self, rng):
+        """⌈16/4⌉ = 4 row groups re-touch a y row before its update
+        leaves the 14-stage adder, so no run can succeed: the job fails
+        at submit and no blade is charged.  56 rows give 14 groups, the
+        depth, whose update is forwarded in time."""
+        runtime = BlasRuntime(chassis=1, blades=2)
+
+        def column_gemv(rows):
+            return BlasRequest(
+                "gemv", (rng.standard_normal((rows, 16)),
+                         rng.standard_normal(16)),
+                k=4, architecture="column")
+
+        bad = runtime.submit(column_gemv(16), at=0.0)
+        assert bad.state is JobState.FAILED
+        assert bad.error == (
+            "planning failed: row 0 updated at cycle 5 while its previous "
+            "update lands at cycle 15; n/k = 4 <= adder depth 14")
+        good = runtime.submit(column_gemv(56), at=0.0)
+        metrics = runtime.run()
+        assert good.state is JobState.DONE
+        assert metrics.jobs_failed == 1 and metrics.jobs_completed == 1
+        assert sum(device.flops for device in metrics.devices) == \
+            2 * 56 * 16
+
     @pytest.mark.parametrize("max_gang", [1, 4])
     def test_gemm_with_k_zero_fails_planning(self, rng, deadline,
                                              max_gang):
